@@ -37,7 +37,9 @@ import json
 import re
 import time
 from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from email.message import Message
 from urllib.parse import parse_qs, quote, urlparse
 from xml.sax.saxutils import escape
 
@@ -74,6 +76,9 @@ _PAGE = """<!DOCTYPE html>
 </body></html>
 """
 
+#: Methods served; HEAD answers exactly as GET, minus the body.
+_METHODS = ("GET", "HEAD")
+
 #: Routes whose 200 bodies are content-addressed (ETag + response cache).
 _ETAG_ROUTES = ("/cohort", "/analyze", "/timeline.svg", "/overview.svg",
                 "/cohort/density", "/cohort/flow")
@@ -95,13 +100,22 @@ class Request:
     client: str = ""
 
     @classmethod
-    def from_target(cls, target: str, headers: dict[str, str] | None = None,
+    def from_target(cls, target: str,
+                    headers: Mapping[str, str] | Message | None = None,
                     client: str = "", method: str = "GET") -> "Request":
-        """Build a request from an origin-form target like ``/cohort?q=…``."""
+        """Build a request from an origin-form target like ``/cohort?q=…``.
+
+        ``headers`` may be a parsed ``email.message.Message`` (what
+        :mod:`http.server` hands over), whose ``items()`` repeats a
+        field sent on several lines; repeated lines combine into one
+        value joined by ``", "`` (RFC 9110 §5.3).
+        """
         url = urlparse(target)
-        lowered = {
-            key.lower(): value for key, value in (headers or {}).items()
-        }
+        lowered: dict[str, str] = {}
+        for key, value in (headers or {}).items():
+            key = key.lower()
+            lowered[key] = (f"{lowered[key]}, {value}" if key in lowered
+                            else value)
         return cls(path=url.path, params=parse_qs(url.query),
                    headers=lowered, method=method, client=client)
 
@@ -289,10 +303,11 @@ class RequestCore:
     def _route(self, request: Request,
                deadline: Deadline | None) -> Response:
         path = request.path
-        if request.method != "GET":
+        if request.method not in _METHODS:
             return self._page(
                 "Method not allowed",
-                "<p class='err'>only GET is served</p>", status=405,
+                "<p class='err'>only GET and HEAD are served</p>",
+                status=405, headers={"Allow": ", ".join(_METHODS)},
             )
         if path == "/healthz":
             return self._healthz()
@@ -359,7 +374,7 @@ class RequestCore:
     # -- HTTP caching --------------------------------------------------------
 
     def _etag_for(self, request: Request) -> str | None:
-        """The strong ETag for a cacheable GET, or None.
+        """The strong ETag for a cacheable GET or HEAD, or None.
 
         Derived from the store ``content_token`` (content-addresses the
         data), the canonical plan key of ``q`` (two spellings of the
@@ -370,7 +385,7 @@ class RequestCore:
         the route's own 400 path reports it.
         """
         path = request.path
-        if request.method != "GET":
+        if request.method not in _METHODS:
             return None
         if path not in _ETAG_ROUTES and not path.startswith("/patient/"):
             return None

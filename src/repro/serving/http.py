@@ -3,8 +3,9 @@
 The only layer that touches sockets: it parses the request line and
 headers into a :class:`~repro.serving.core.Request`, hands it to the
 app, and writes the typed :class:`~repro.serving.core.Response` back
-with consistent ``Content-Length`` on every path.  Everything
-interesting (routing, shedding, caching, deadlines) happens in the app.
+with consistent ``Content-Length`` on every path, in a single write on
+a ``TCP_NODELAY`` socket.  Everything interesting (routing, shedding,
+caching, deadlines) happens in the app.
 
 Two servers share the handler:
 
@@ -32,22 +33,32 @@ class _AppHandler(BaseHTTPRequestHandler):
 
     app: ServingApp  # bound by the server factory
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted connection, so no reply segment
+    #: (including the stdlib's own ``send_error`` head and body) waits
+    #: for the client's delayed ACK of the one before it.
+    disable_nagle_algorithm = True
 
     def log_message(self, *args) -> None:  # silence request logging
         pass
 
     def _respond(self) -> None:
         request = Request.from_target(
-            self.path, headers=dict(self.headers.items()),
+            self.path, headers=self.headers,
             client=self.client_address[0], method=self.command,
         )
         response = self.app.handle(request)
         self.send_response(response.status)
         for name, value in response.header_items():
             self.send_header(name, value)
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(response.body)
+        # What end_headers() writes, plus the body, in one sendall: a
+        # body written after its head waits under Nagle's algorithm for
+        # the client's ACK of the head, which clients delay (~40 ms on
+        # Linux) on every keep-alive reply.
+        reply = [b"" if self.command == "HEAD" else response.body]
+        if self.request_version != "HTTP/0.9":  # 0.9 replies have no head
+            reply[:0] = [*self._headers_buffer, b"\r\n"]
+            self._headers_buffer = []
+        self.wfile.write(b"".join(reply))
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         self._respond()

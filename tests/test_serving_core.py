@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gzip
 import json
+from email.message import Message
 
 import pytest
 
@@ -55,6 +56,13 @@ class TestRequest:
         # header lookup is case-insensitive both ways
         assert request.header("if-none-match") == '"abc"'
         assert request.header("Accept-Encoding") == "gzip"
+
+    def test_repeated_header_lines_combine(self):
+        message = Message()
+        message["If-None-Match"] = '"a"'
+        message["if-none-match"] = '"b"'
+        request = Request.from_target("/", headers=message)
+        assert request.header("If-None-Match") == '"a", "b"'
 
     def test_int_param_rejects_garbage(self):
         request = Request.from_target("/timeline.svg?rows=abc")
@@ -126,7 +134,25 @@ class TestCoreRoutes:
         assert core.handle(_req("/nope")).status == 404
 
     def test_post_is_405(self, core):
-        assert core.handle(_req("/", method="POST")).status == 405
+        response = core.handle(_req("/", method="POST"))
+        assert response.status == 405
+        assert response.headers["Allow"] == "GET, HEAD"
+
+    def test_head_answers_as_get(self, core):
+        target = "/cohort?q=concept%20T90"
+        got = core.handle(_req(target))
+        head = core.handle(_req(target, method="HEAD"))
+        assert head.status == 200
+        assert head.header_items() == got.header_items()
+        # one rendering serves both: the HEAD hit the response cache
+        assert core.counters["queries_executed"] == 1
+        assert core.response_cache.hits == 1
+        revalidated = core.handle(
+            _req(target, method="HEAD",
+                 headers={"If-None-Match": got.headers["ETag"]})
+        )
+        assert revalidated.status == 304
+        assert revalidated.headers["ETag"] == got.headers["ETag"]
 
     def test_bad_query_is_400(self, core):
         response = core.handle(_req("/cohort?q=concept%20%3C%3C"))
