@@ -168,7 +168,7 @@ def test_repeated_appends_bound_read_amplification(tmp_path_factory):
     assert stats["pending_deltas"] >= 10
 
     query = _probe_query(store)
-    expected = QueryEngine(store, optimize=True).patients(query)
+    expected = QueryEngine(store).patients(query)
     assert np.array_equal(QueryEngine(sharded).patients(query), expected)
 
     Compactor(path).compact()

@@ -46,7 +46,7 @@ def test_analyzer_overhead_under_5pct_of_cold_plan(paper_store):
     analyze_query(queries[0], context)  # warm lazy imports
     analyze_s = min(_analyze_session(context, queries) for __ in range(3))
 
-    cold = QueryEngine(store, optimize=True)
+    cold = QueryEngine(store)
     start = time.perf_counter()
     for query in queries:
         cold.patients(query)

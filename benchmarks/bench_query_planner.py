@@ -6,7 +6,8 @@ over predefined characteristics — so consecutive queries share most of
 their sub-expressions.  This benchmark replays such a refinement
 session three ways:
 
-* **naive** — the recursive engine, every mask recomputed per query;
+* **naive** — the recursive test oracle (``tests/naive_engine.py``),
+  every mask recomputed per query;
 * **cold**  — the planner on a fresh cache (pays normalization plus the
   one-off selectivity statistics);
 * **warm**  — the same session again: every sub-result is memoized, so
@@ -32,6 +33,7 @@ from repro.query.ast import (
     SexIs,
 )
 from repro.query.engine import QueryEngine
+from tests.naive_engine import NaiveEngine
 
 #: Warm-replay speedup the planner must deliver over naive evaluation.
 REQUIRED_SPEEDUP = 5.0
@@ -63,8 +65,8 @@ def _run_session(engine, queries) -> float:
 
 def test_planner_matches_naive_on_e5(paper_store):
     store, __ = paper_store
-    planned = QueryEngine(store, optimize=True)
-    naive = QueryEngine(store, optimize=False)
+    planned = QueryEngine(store)
+    naive = NaiveEngine(store)
     for query in refinement_session(store):
         fast = planned.patients(query)
         slow = naive.patients(query)
@@ -75,10 +77,10 @@ def test_warm_cache_refinement_speedup(paper_store):
     store, __ = paper_store
     queries = refinement_session(store)
 
-    naive = QueryEngine(store, optimize=False)
+    naive = NaiveEngine(store)
     naive_s = min(_run_session(naive, queries) for __ in range(3))
 
-    planned = QueryEngine(store, optimize=True)
+    planned = QueryEngine(store)
     cold_s = _run_session(planned, queries)  # fills the cache
     warm_s = min(_run_session(planned, queries) for __ in range(3))
 
@@ -105,7 +107,7 @@ def test_warm_cache_refinement_speedup(paper_store):
 def test_warm_query_latency(benchmark, paper_store):
     """Steady-state latency of one fully-cached refinement query."""
     store, __ = paper_store
-    planned = QueryEngine(store, optimize=True)
+    planned = QueryEngine(store)
     queries = refinement_session(store)
     _run_session(planned, queries)  # warm up
     ids = benchmark(lambda: planned.patients(queries[-2]))

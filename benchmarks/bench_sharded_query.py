@@ -78,7 +78,7 @@ def sharded_paper(paper_store, tmp_path_factory):
 
 def test_sharded_matches_single_at_scale(paper_store, sharded_paper):
     store, __ = paper_store
-    single = QueryEngine(store, optimize=True)
+    single = QueryEngine(store)
     engine = QueryEngine(sharded_paper)
     for query in _query_corpus(store, 6):
         expected = single.patients(query)
@@ -103,7 +103,7 @@ def test_scatter_gather_speedup(paper_store, sharded_paper):
     queries = _query_corpus(store, 12)
     warmup = _query_corpus(store, 1)[0]
 
-    single = QueryEngine(store, optimize=True, cache=QueryCache())
+    single = QueryEngine(store, cache=QueryCache())
     single.patients(warmup)  # page in columns, build planner statistics
     start = time.perf_counter()
     for query in queries:

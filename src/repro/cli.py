@@ -139,8 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="statically analyze the query first; refuse to "
                         "evaluate on error-severity diagnostics (exit 4), "
                         "print warnings to stderr and continue")
-    p.add_argument("--no-optimize", action="store_true",
-                   help="bypass the planner/cache (naive evaluation)")
     p.add_argument("--repeat", type=int, default=1,
                    help="evaluate N times (N>1 demonstrates warm-cache "
                         "hits in --explain)")
@@ -476,8 +474,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 args.store, "--shards requires a sharded store directory "
                             "(build one with `repro shard build`)"
             )
-        if args.no_optimize:
-            wb.engine.optimize = False
         if args.lint:
             diagnostics = wb.analyze(args.query)
             for diag in diagnostics:
@@ -491,11 +487,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             ids = wb.select(args.query)
         print(f"{len(ids):,} of {wb.store.n_patients:,} patients match")
         if wb.is_sharded:
-            stats = wb.shard_stats()
-            executor = stats.get("executor", {})
-            print(f"scatter-gather: {stats['n_shards']} shards, "
-                  f"{executor.get('mode', 'serial')} mode, "
-                  f"{executor.get('workers', 1)} worker(s)")
+            executor = wb.engine.executor
+            print(f"scatter-gather: {wb.store.n_shards} shards, "
+                  f"{executor.mode} mode, {executor.n_workers} worker(s)")
         if args.explain:
             print()
             print(wb.explain(args.query))

@@ -8,7 +8,7 @@ component reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -244,20 +244,10 @@ class WorkbenchConfig:
     """Tunables for the :class:`repro.workbench.Workbench` facade.
 
     Attributes:
-        seed: master seed for any stochastic operation (e.g. sampling
-            histories for a preview rendering).
         max_drawn_histories: upper bound on the number of history rows a
             single timeline rendering will materialize; beyond this the
             view samples (the paper notes the tool "can be challenging to
             use for very large data sets").
-        detail_cache_size: number of details-on-demand lookups memoized by
-            the interaction layer.
-        lazy_materialization: when True, ``History`` objects are built only
-            for patients actually drawn or exported, while queries run on
-            the columnar store.
-        optimize_queries: route queries through the planner/memoization
-            layer (:mod:`repro.query.planner`); turn off to force the
-            naive recursive evaluation.
         analyze_queries: gate every query through the static analyzer
             (:mod:`repro.query.analyze`); error-severity findings are
             refused with :class:`~repro.errors.QueryAnalysisError`
@@ -273,13 +263,8 @@ class WorkbenchConfig:
             touched and no rows materialize.
     """
 
-    seed: int = DEFAULT_SEED
     max_drawn_histories: int = 20_000
-    detail_cache_size: int = 4_096
     drilldown_rows: int = 512
-    lazy_materialization: bool = True
-    optimize_queries: bool = True
     analyze_queries: bool = False
     query_cache_entries: int = 512
     query_cache_bytes: int = 256 * 1024 * 1024
-    extra: dict[str, object] = field(default_factory=dict)

@@ -8,9 +8,21 @@ ontology, temporal reasoning, source integration, querying, rendering).
 
 from __future__ import annotations
 
+import copyreg
+
 
 class ReproError(Exception):
-    """Base class for all errors raised by the ``repro`` library."""
+    """Base class for all errors raised by the ``repro`` library.
+
+    Pickling rebuilds an error from its formatted ``args`` and attribute
+    dict without calling ``__init__``, whose structured parameters
+    (``ShardChecksumError(shard, column, expected, actual)``) differ
+    from ``args``.  A typed error raised in a process-pool worker thus
+    reaches the parent intact instead of breaking the pool.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class TerminologyError(ReproError):

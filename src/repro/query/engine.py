@@ -5,20 +5,19 @@ patient expressions compile to sorted int64 id arrays.  Set algebra on
 patients uses ``np.intersect1d``/``union1d``/``setdiff1d``, so the whole
 168k-patient selection (experiment E5) runs in tens of milliseconds.
 
-With ``optimize=True`` (the default) every query first passes through
-the planner (:mod:`repro.query.planner`): the AST is rewritten into a
-canonical normal form, conjunction children are evaluated in ascending
+Every query first passes through the planner
+(:mod:`repro.query.planner`): the AST is rewritten into a canonical
+normal form, conjunction children are evaluated in ascending
 estimated-selectivity order with early exit, and every sub-result —
 event masks and patient-id arrays — is memoized in an LRU
 (:class:`repro.query.cache.QueryCache`) keyed by
 ``(store.content_token(), kind, canonical plan key)``.  Iterative
 cohort refinement (the paper's core loop) therefore re-computes only
-the clauses that actually changed.  ``optimize=False`` keeps the naive
-recursive evaluation; the two paths are differentially property-tested
-to be equivalent.
+the clauses that actually changed.  The test suite keeps a naive
+recursive evaluator as the differential oracle for this path.
 
-Arrays returned from the optimized path are cached and therefore marked
-read-only; copy before mutating.
+Returned arrays are cached and therefore marked read-only; copy before
+mutating.
 """
 
 from __future__ import annotations
@@ -80,10 +79,12 @@ def _check_deadline(deadline) -> None:
 class QueryEngine:
     """Evaluates query ASTs against one :class:`EventStore`.
 
-    ``optimize`` toggles the planning/caching layer (default on);
     ``cache`` lets several engines share one per-process
     :class:`~repro.query.cache.QueryCache` (entries are keyed by store
-    content, so sharing across stores is safe).  ``analyze`` gates
+    content, so sharing across stores is safe).  On a sharded store the
+    engine owns the scatter-gather
+    :class:`~repro.shard.executor.ParallelExecutor`; ``executor`` passes
+    in one with a chosen worker count instead.  ``analyze`` gates
     every :meth:`patients` call through the static analyzer
     (:mod:`repro.query.analyze`): queries with ``error``-severity
     diagnostics are refused with a typed
@@ -93,14 +94,18 @@ class QueryEngine:
     def __init__(
         self,
         store: EventStore,
-        optimize: bool = True,
         cache: QueryCache | None = None,
         executor=None,
         analyze: bool = False,
     ) -> None:
         self.store = store
-        self.optimize = optimize
         self.cache = cache if cache is not None else QueryCache()
+        if executor is None and self.is_sharded:
+            from repro.shard.executor import (  # noqa: PLC0415 (cycle)
+                ParallelExecutor,
+            )
+
+            executor = ParallelExecutor(config=store.config)
         self.executor = executor
         self.analyze_queries = analyze
         self.analyzer_counters = {"analyzed": 0, "errors": 0, "warnings": 0}
@@ -169,17 +174,14 @@ class QueryEngine:
     # -- event level -----------------------------------------------------
 
     def event_mask(self, expr: EventExpr) -> np.ndarray:
-        """Compile an event expression to a boolean row mask.
+        """Compile an event expression to a (read-only) boolean row mask.
 
-        Optimized engines normalize the expression and memoize the mask
-        (the returned array is then read-only).
+        The expression is normalized and every sub-mask memoized.
         """
-        if not self.optimize:
-            return self._raw_event_mask(expr)
         return self._planned_event_mask(normalize_event(expr))
 
-    def _raw_event_mask(self, expr: EventExpr) -> np.ndarray:
-        """The naive recursive compilation (no planning, no cache)."""
+    def _leaf_mask(self, expr: EventExpr) -> np.ndarray:
+        """The row mask of one leaf predicate (a column scan)."""
         store = self.store
         if isinstance(expr, CodeMatch):
             return store.mask_pattern(expr.system, expr.pattern)
@@ -209,18 +211,6 @@ class QueryEngine:
             return np.zeros(store.n_events, dtype=bool)
         if isinstance(expr, AllEvents):
             return np.ones(store.n_events, dtype=bool)
-        if isinstance(expr, EventAnd):
-            mask = self._raw_event_mask(expr.children[0])
-            for child in expr.children[1:]:
-                mask = mask & self._raw_event_mask(child)
-            return mask
-        if isinstance(expr, EventOr):
-            mask = self._raw_event_mask(expr.children[0])
-            for child in expr.children[1:]:
-                mask = mask | self._raw_event_mask(child)
-            return mask
-        if isinstance(expr, EventNot):
-            return ~self._raw_event_mask(expr.child)
         raise QueryError(f"unknown event expression {expr!r}")
 
     def _planned_event_mask(self, expr: EventExpr) -> np.ndarray:
@@ -247,7 +237,7 @@ class QueryEngine:
         elif isinstance(expr, EventNot):
             mask = ~self._planned_event_mask(expr.child)
         else:
-            mask = self._raw_event_mask(expr)
+            mask = self._leaf_mask(expr)
         return self.cache.put(key, mask)
 
     # -- patient level ------------------------------------------------------
@@ -257,7 +247,7 @@ class QueryEngine:
         """Evaluate to a sorted array of matching patient ids.
 
         An event expression is implicitly wrapped in :class:`HasEvent`.
-        Optimized engines return memoized (read-only) arrays.
+        The returned array is memoized (read-only).
 
         On a :class:`~repro.shard.store.ShardedEventStore` the query is
         evaluated per shard (scatter) and the disjoint per-shard id
@@ -274,83 +264,10 @@ class QueryEngine:
             self.check(expr)
         _check_deadline(deadline)
         if self.is_sharded:
-            return self._scatter_gather(expr, deadline)
-        if not self.optimize:
-            if isinstance(expr, EventExpr):
-                expr = HasEvent(expr)
-            return self._raw_patients(expr)
+            return self.executor.patients(self.store, expr, cache=self.cache,
+                                          deadline=deadline)
         return self._planned_patients(plan_query(expr).root,
                                       deadline=deadline)
-
-    def _scatter_gather(self, expr: PatientExpr | EventExpr,
-                        deadline=None) -> np.ndarray:
-        """Route a query through the per-shard parallel executor."""
-        if self.executor is None:
-            from repro.shard.executor import (  # noqa: PLC0415 (cycle)
-                ParallelExecutor,
-            )
-
-            self.executor = ParallelExecutor(config=self.store.config)
-        return self.executor.patients(
-            self.store, expr, optimize=self.optimize, cache=self.cache,
-            deadline=deadline,
-        )
-
-    def _first_before(self, mask: np.ndarray, day: int) -> np.ndarray:
-        """Patients whose first masked event is on/before ``day``.
-
-        Store rows are sorted by ``(patient, day)``, so the first index
-        ``np.unique`` reports per patient is also their earliest day —
-        one vectorized pass, no per-patient dict or sort.
-        """
-        store = self.store
-        ids, first_idx = np.unique(store.patient[mask], return_index=True)
-        return ids[store.day[mask][first_idx] <= day]
-
-    def _raw_patients(self, expr: PatientExpr) -> np.ndarray:
-        """The naive recursive evaluation (no planning, no cache)."""
-        store = self.store
-        if isinstance(expr, HasEvent):
-            return store.patients_matching(self._raw_event_mask(expr.expr))
-        if isinstance(expr, CountAtLeast):
-            mask = self._raw_event_mask(expr.expr)
-            ids, counts = np.unique(store.patient[mask], return_counts=True)
-            return ids[counts >= expr.minimum]
-        if isinstance(expr, AgeRange):
-            ages = (expr.at_day - store.birth_days) / 365.25
-            selected = (ages >= expr.min_years) & (ages <= expr.max_years)
-            return store.patient_ids[selected]
-        if isinstance(expr, SexIs):
-            code = {"U": 0, "F": 1, "M": 2}[expr.sex]
-            return store.patient_ids[store.sexes == code]
-        if isinstance(expr, FirstBefore):
-            return self._first_before(
-                self._raw_event_mask(expr.expr), expr.day
-            )
-        if isinstance(expr, NoPatients):
-            return np.empty(0, dtype=np.int64)
-        if isinstance(expr, AllPatients):
-            return store.patient_ids.copy()
-        if isinstance(expr, PatientAnd):
-            result = self._raw_patients(expr.children[0])
-            for child in expr.children[1:]:
-                if len(result) == 0:
-                    break
-                result = np.intersect1d(
-                    result, self._raw_patients(child), assume_unique=True
-                )
-            return result
-        if isinstance(expr, PatientOr):
-            result = self._raw_patients(expr.children[0])
-            for child in expr.children[1:]:
-                result = np.union1d(result, self._raw_patients(child))
-            return result
-        if isinstance(expr, PatientNot):
-            return np.setdiff1d(
-                store.patient_ids, self._raw_patients(expr.child),
-                assume_unique=True,
-            )
-        raise QueryError(f"unknown patient expression {expr!r}")
 
     def _planned_patients(self, expr: PatientExpr,
                           deadline=None) -> np.ndarray:
@@ -376,9 +293,11 @@ class QueryEngine:
             ids, counts = np.unique(store.patient[mask], return_counts=True)
             result = ids[counts >= expr.minimum]
         elif isinstance(expr, FirstBefore):
-            result = self._first_before(
-                self._planned_event_mask(expr.expr), expr.day
-            )
+            # Rows are sorted by (patient, day), so the first index
+            # np.unique reports per patient is also their earliest day.
+            mask = self._planned_event_mask(expr.expr)
+            ids, first_idx = np.unique(store.patient[mask], return_index=True)
+            result = ids[store.day[mask][first_idx] <= expr.day]
         elif isinstance(expr, PatientAnd):
             # Most selective clause first: the running intersection
             # shrinks fastest and an empty result short-circuits the
@@ -404,8 +323,15 @@ class QueryEngine:
                 self._planned_patients(expr.child, deadline),
                 assume_unique=True,
             )
+        elif isinstance(expr, AgeRange):
+            ages = (expr.at_day - store.birth_days) / 365.25
+            result = store.patient_ids[(ages >= expr.min_years)
+                                       & (ages <= expr.max_years)]
+        elif isinstance(expr, SexIs):
+            code = {"U": 0, "F": 1, "M": 2}[expr.sex]
+            result = store.patient_ids[store.sexes == code]
         else:
-            result = self._raw_patients(expr)
+            raise QueryError(f"unknown patient expression {expr!r}")
         return self.cache.put(key, result)
 
     # -- derived metrics -----------------------------------------------------
@@ -447,11 +373,9 @@ class QueryEngine:
             f"cache: {stats.hits} hits, {stats.misses} misses, "
             f"{len(self.cache)} entries",
         ]
-        degradation = getattr(self.store, "degradation", None)
-        if callable(degradation):
-            record = degradation()
-            if record.is_degraded:
-                header.append(record.format_summary())
+        record = self.store.degradation() if self.is_sharded else None
+        if record is not None and record.is_degraded:
+            header.append(record.format_summary())
         header.append("")
         tree = format_plan(plan, self.estimator, is_cached=is_cached)
         diagnostics = self.analyze(expr)
@@ -469,7 +393,6 @@ class QueryEngine:
     def cache_stats(self) -> dict:
         """JSON-ready cache counters (the webapp ``/stats`` payload)."""
         payload = self.cache.stats_dict()
-        payload["optimize"] = self.optimize
         if self.executor is not None:
             payload["executor"] = self.executor.stats_dict()
         return payload

@@ -17,7 +17,14 @@ union of the per-shard answers.
   granularity; or
 * **in parallel** via a lazily spawned ``ProcessPoolExecutor`` — workers
   open their own memory-mapped shard handles (cached per process) and
-  return plain patient-id arrays.
+  return plain results.
+
+Both paths run a module-level *per-shard task* — patient ids
+(:func:`_shard_patients`) or a masked cohort sketch
+(:func:`_shard_sketch`) — and fold the per-shard results with a merge
+function (sorted union or :func:`~repro.sketch.merge_sketches`).  The
+tasks are plain functions, so they pickle by reference and never ship a
+memory-mapped store into a pool payload.
 
 The executor is *self-healing*, at two granularities:
 
@@ -42,6 +49,7 @@ Worker count comes from :class:`repro.config.ShardConfig` (``None`` →
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -61,7 +69,11 @@ from repro.errors import (
 from repro.query.cache import QueryCache
 from repro.query.engine import QueryEngine
 from repro.resilience.circuit import CircuitBreaker
+from repro.resilience.faults import claim_worker_kill
 from repro.resilience.retry import RetryPolicy
+from repro.shard.store import ShardedEventStore
+from repro.shard.writer import subset_store
+from repro.sketch import build_sketch, merge_sketches
 
 __all__ = ["ParallelExecutor"]
 
@@ -75,9 +87,31 @@ _WORKER_CACHE = QueryCache()
 _DEFINITE_DAMAGE = (ShardChecksumError, ShardFormatError)
 
 
-def _eval_shard(path: str, index: int, expr, optimize: bool,
-                verify_checksums: bool, revision: int = 0):
-    """Worker entry point: evaluate one query on one shard.
+def _shard_patients(sharded, index: int, expr, cache) -> np.ndarray:
+    """Per-shard task: sorted ids of shard ``index``'s matching patients."""
+    engine = QueryEngine(sharded.shard(index), cache=cache)
+    return np.asarray(engine.patients(expr))
+
+
+def _shard_sketch(sharded, index: int, expr, cache):
+    """Per-shard task: the sketch of shard ``index``'s matching patients.
+
+    ``expr=None`` is the whole-shard sketch (pure sidecar fold — no
+    rows touched).  With a query, the shard evaluates it locally and
+    sketches only the matching patients' rows — the *refinement* step
+    of aggregate-first rendering.  A :class:`CohortSketch` is a plain
+    bundle of numpy arrays, so it pickles back to the parent cheaply
+    (kilobytes, independent of shard row count).
+    """
+    if expr is None:
+        return sharded.shard_sketch(index)
+    pids = _shard_patients(sharded, index, expr, cache)
+    return build_sketch(subset_store(sharded.shard(index), pids))
+
+
+def _run_shard(task, path: str, index: int, expr, verify_checksums: bool,
+               revision: int):
+    """Worker entry point: run one per-shard ``task`` on one shard.
 
     ``revision`` is the parent's view of the store's root-manifest
     revision.  A cached worker store on a different revision is stale —
@@ -89,17 +123,12 @@ def _eval_shard(path: str, index: int, expr, optimize: bool,
     failure surfaces as an ordinary shard error and the parent's
     recovery path re-evaluates serially against its own manifest.
 
-    Returns ``(patient_ids, replica_failovers)`` — the second element
-    is how many replica failovers the worker's store performed for this
-    call, so the parent can aggregate failovers that would otherwise be
+    Returns ``(result, replica_failovers)`` — the second element is how
+    many replica failovers the worker's store performed for this call,
+    so the parent can aggregate failovers that would otherwise be
     invisible inside worker processes.
     """
-    from repro.resilience.faults import claim_worker_kill  # noqa: PLC0415
-    from repro.shard.store import ShardedEventStore  # noqa: PLC0415 (cycle)
-
     if claim_worker_kill():
-        import os
-
         os._exit(43)  # simulate a hard worker crash (chaos harness)
     sharded = _WORKER_STORES.get(path)
     if sharded is None or sharded.revision != revision:
@@ -108,58 +137,8 @@ def _eval_shard(path: str, index: int, expr, optimize: bool,
         )
         _WORKER_STORES[path] = sharded
     before = sharded.counters.get("replica_failovers", 0)
-    engine = QueryEngine(sharded.shard(index), optimize=optimize,
-                         cache=_WORKER_CACHE)
-    ids = np.asarray(engine.patients(expr))
-    return ids, sharded.counters.get("replica_failovers", 0) - before
-
-
-def _masked_shard_sketch(sharded, index: int, expr, optimize: bool, cache):
-    """The sketch of the patients in shard ``index`` matching ``expr``.
-
-    ``expr=None`` is the whole-shard sketch (pure sidecar fold — no
-    rows touched).  With a query, the shard evaluates it locally and
-    sketches only the matching patients' rows — the *refinement* step
-    of aggregate-first rendering, shard-parallel by construction.
-    """
-    from repro.shard.writer import subset_store  # noqa: PLC0415 (cycle)
-    from repro.sketch import build_sketch  # noqa: PLC0415 (cycle)
-
-    if expr is None:
-        return sharded.shard_sketch(index)
-    shard = sharded.shard(index)
-    engine = QueryEngine(shard, optimize=optimize, cache=cache)
-    pids = np.asarray(engine.patients(expr))
-    return build_sketch(subset_store(shard, pids))
-
-
-def _sketch_shard(path: str, index: int, expr, optimize: bool,
-                  verify_checksums: bool, revision: int = 0):
-    """Worker entry point: sketch one shard's (masked) cohort.
-
-    Same worker-store cache, revision handshake and
-    ``(result, replica_failovers)`` return shape as :func:`_eval_shard`;
-    the :class:`CohortSketch` is a plain bundle of numpy arrays, so it
-    pickles back to the parent cheaply (kilobytes, independent of shard
-    row count).
-    """
-    from repro.resilience.faults import claim_worker_kill  # noqa: PLC0415
-    from repro.shard.store import ShardedEventStore  # noqa: PLC0415 (cycle)
-
-    if claim_worker_kill():
-        import os
-
-        os._exit(43)  # simulate a hard worker crash (chaos harness)
-    sharded = _WORKER_STORES.get(path)
-    if sharded is None or sharded.revision != revision:
-        sharded = ShardedEventStore(
-            path, config=ShardConfig(verify_checksums=verify_checksums)
-        )
-        _WORKER_STORES[path] = sharded
-    before = sharded.counters.get("replica_failovers", 0)
-    sketch = _masked_shard_sketch(sharded, index, expr, optimize,
-                                  _WORKER_CACHE)
-    return sketch, sharded.counters.get("replica_failovers", 0) - before
+    result = task(sharded, index, expr, _WORKER_CACHE)
+    return result, sharded.counters.get("replica_failovers", 0) - before
 
 
 def _merge_patient_results(parts: list[np.ndarray]) -> np.ndarray:
@@ -171,7 +150,7 @@ def _merge_patient_results(parts: list[np.ndarray]) -> np.ndarray:
 
 
 class ParallelExecutor:
-    """Evaluates queries shard-by-shard and merges patient-id results.
+    """Evaluates queries shard-by-shard and merges the per-shard results.
 
     One executor is meant to live as long as its engine (the pool, the
     serial-path cache, the circuit breakers and the counters are all
@@ -214,7 +193,7 @@ class ParallelExecutor:
 
     # -- execution -----------------------------------------------------------
 
-    def patients(self, sharded, expr, optimize: bool = True,
+    def patients(self, sharded: ShardedEventStore, expr,
                  cache: QueryCache | None = None,
                  deadline=None) -> np.ndarray:
         """Sorted patient ids matching ``expr`` across every serving shard.
@@ -229,9 +208,31 @@ class ParallelExecutor:
         :class:`~repro.errors.DeadlineExceededError` to the caller (the
         serving tier's 503) instead of queueing behind a stuck shard.
         """
+        return self._scatter(sharded, _shard_patients,
+                             _merge_patient_results, expr, cache, deadline)
+
+    def sketch_shards(self, sharded: ShardedEventStore, expr,
+                      cache: QueryCache | None = None, deadline=None):
+        """A query-masked :class:`CohortSketch`, folded across shards.
+
+        Each shard evaluates ``expr`` locally and sketches only its
+        matching patients (``expr=None`` folds the persisted sidecars
+        instead); per-shard sketches merge associatively, so the result
+        equals the sketch of the global cohort.  Shares the pool,
+        fallback ladder, per-shard recovery and deadline semantics of
+        :meth:`patients`.
+        """
+        self.sketch_queries += 1
+        return self._scatter(sharded, _shard_sketch, merge_sketches, expr,
+                             cache, deadline)
+
+    def _scatter(self, sharded: ShardedEventStore, task, merge, expr,
+                 cache: QueryCache | None, deadline):
+        """Run ``task`` on every serving shard and ``merge`` the results."""
         self.queries += 1
-        self.shards_scanned += len(self._active(sharded))
+        self.shards_scanned += len(sharded.active_indices())
         self._check_request_deadline(deadline)
+        cache = cache if cache is not None else self.cache
         if self.n_workers > 1 and sharded.n_shards > 1 \
                 and not self._pool_broken:
             if self._pool_failed:
@@ -245,7 +246,7 @@ class ParallelExecutor:
                     self._pool_failed = False
             if not self._pool_failed and not self._pool_broken:
                 try:
-                    return self._parallel(sharded, expr, optimize, cache,
+                    return self._parallel(sharded, task, merge, expr, cache,
                                           deadline)
                 except (BrokenProcessPool, PicklingError, OSError):
                     # Pool infrastructure failed (worker died mid-query,
@@ -255,115 +256,7 @@ class ParallelExecutor:
                     self.pool_fallbacks += 1
                     self._pool_failed = True
                     self._shutdown_pool()
-        return self._serial(sharded, expr, optimize, cache, deadline)
-
-    def sketch_shards(self, sharded, expr, optimize: bool = True,
-                      cache: QueryCache | None = None, deadline=None):
-        """A query-masked :class:`CohortSketch`, folded across shards.
-
-        Each shard evaluates ``expr`` locally and sketches only its
-        matching patients (``expr=None`` folds the persisted sidecars
-        instead); per-shard sketches merge associatively, so the result
-        equals the sketch of the global cohort.  Shares the pool,
-        fallback ladder, per-shard recovery and deadline semantics of
-        :meth:`patients`.
-        """
-        self.queries += 1
-        self.sketch_queries += 1
-        self.shards_scanned += len(self._active(sharded))
-        self._check_request_deadline(deadline)
-        if self.n_workers > 1 and sharded.n_shards > 1 \
-                and not self._pool_broken:
-            if self._pool_failed:
-                if self.pool_rebuilds >= self.config.max_pool_rebuilds:
-                    self._pool_broken = True
-                else:
-                    self.pool_rebuilds += 1
-                    self._pool_failed = False
-            if not self._pool_failed and not self._pool_broken:
-                try:
-                    return self._parallel_sketch(sharded, expr, optimize,
-                                                 cache, deadline)
-                except (BrokenProcessPool, PicklingError, OSError):
-                    self.pool_failures += 1
-                    self.pool_fallbacks += 1
-                    self._pool_failed = True
-                    self._shutdown_pool()
-        return self._serial_sketch(sharded, expr, optimize, cache, deadline)
-
-    def _serial_sketch(self, sharded, expr, optimize: bool,
-                       cache: QueryCache | None, deadline=None):
-        from repro.sketch import merge_sketches  # noqa: PLC0415 (cycle)
-
-        self.serial_queries += 1
-        shared = cache if cache is not None else self.cache
-        parts = []
-        for index in self._active(sharded):
-            self._check_request_deadline(deadline)
-
-            def evaluate(index=index):
-                return _masked_shard_sketch(sharded, index, expr, optimize,
-                                            shared)
-
-            try:
-                part = evaluate()
-            except (ShardStoreError, DeadlineExceededError, OSError) as exc:
-                part = self._recover_shard(sharded, index, expr, optimize,
-                                           shared, exc, deadline,
-                                           eval_fn=evaluate)
-            if part is not None:
-                parts.append(part)
-        return merge_sketches(parts)
-
-    def _parallel_sketch(self, sharded, expr, optimize: bool,
-                         cache: QueryCache | None, deadline=None):
-        from repro.sketch import merge_sketches  # noqa: PLC0415 (cycle)
-
-        pool = self._ensure_pool()
-        shared = cache if cache is not None else self.cache
-        futures = [
-            (index,
-             pool.submit(_sketch_shard, sharded.path, index, expr, optimize,
-                         sharded.config.verify_checksums,
-                         getattr(sharded, "revision", 0)))
-            for index in self._active(sharded)
-        ]
-        parts = []
-        for index, future in futures:
-            self._check_request_deadline(deadline)
-            timeout = self.config.shard_timeout_s
-            if deadline is not None:
-                remaining = max(0.001, deadline.remaining())
-                timeout = (remaining if timeout is None
-                           else min(timeout, remaining))
-
-            def evaluate(index=index):
-                return _masked_shard_sketch(sharded, index, expr, optimize,
-                                            shared)
-
-            try:
-                part, failed_over = future.result(timeout=timeout)
-                self.replica_failovers += int(failed_over)
-                self._breaker(sharded, index).record_success()
-            except (BrokenProcessPool, PicklingError):
-                raise  # pool-level failure: the caller rebuilds/falls back
-            except _FuturesTimeout:
-                self._check_request_deadline(deadline)
-                exc = DeadlineExceededError(
-                    f"shard {self._shard_name(sharded, index)} exceeded "
-                    f"the {self.config.shard_timeout_s}s per-shard budget"
-                )
-                part = self._recover_shard(sharded, index, expr, optimize,
-                                           shared, exc, deadline,
-                                           eval_fn=evaluate)
-            except (ShardStoreError, DeadlineExceededError) as exc:
-                part = self._recover_shard(sharded, index, expr, optimize,
-                                           shared, exc, deadline,
-                                           eval_fn=evaluate)
-            if part is not None:
-                parts.append(part)
-        self.parallel_queries += 1
-        return merge_sketches(parts)
+        return self._serial(sharded, task, merge, expr, cache, deadline)
 
     def _check_request_deadline(self, deadline) -> None:
         """Raise when the caller's request budget is already spent.
@@ -377,93 +270,81 @@ class ParallelExecutor:
                 "scatter-gather query exceeded its request deadline"
             )
 
-    def _active(self, sharded) -> list[int]:
-        indices = getattr(sharded, "active_indices", None)
-        if callable(indices):
-            return list(indices())
-        return list(range(sharded.n_shards))
-
-    def _shard_name(self, sharded, index: int) -> str:
-        entries = getattr(sharded, "shard_entries", None)
-        if entries is not None:
-            return str(entries[index]["name"])
-        return f"shard-{index:04d}"
-
-    def _serial(self, sharded, expr, optimize: bool,
-                cache: QueryCache | None, deadline=None) -> np.ndarray:
+    def _serial(self, sharded: ShardedEventStore, task, merge, expr,
+                cache: QueryCache, deadline):
         self.serial_queries += 1
-        shared = cache if cache is not None else self.cache
         parts = []
-        for index in self._active(sharded):
+        for index in sharded.active_indices():
             self._check_request_deadline(deadline)
             try:
-                part = self._eval_serial(sharded, index, expr, optimize,
-                                         shared)
+                part = self._run_local(task, sharded, index, expr, cache)
             except (ShardStoreError, DeadlineExceededError, OSError) as exc:
-                part = self._recover_shard(sharded, index, expr, optimize,
-                                           shared, exc, deadline)
+                part = self._recover_shard(task, sharded, index, expr, cache,
+                                           exc, deadline)
             if part is not None:
                 parts.append(part)
-        return _merge_patient_results(parts)
+        return merge(parts)
 
-    def _eval_serial(self, sharded, index: int, expr, optimize: bool,
-                     cache: QueryCache) -> np.ndarray:
-        engine = QueryEngine(sharded.shard(index), optimize=optimize,
-                             cache=cache)
-        return np.asarray(engine.patients(expr))
+    def _run_local(self, task, sharded: ShardedEventStore, index: int, expr,
+                   cache: QueryCache):
+        """Run one per-shard task in this process (serial path, retries)."""
+        return task(sharded, index, expr, cache)
 
-    def _parallel(self, sharded, expr, optimize: bool,
-                  cache: QueryCache | None, deadline=None) -> np.ndarray:
+    def _parallel(self, sharded: ShardedEventStore, task, merge, expr,
+                  cache: QueryCache, deadline):
         pool = self._ensure_pool()
-        shared = cache if cache is not None else self.cache
         futures = [
             (index,
-             pool.submit(_eval_shard, sharded.path, index, expr, optimize,
-                         sharded.config.verify_checksums,
-                         getattr(sharded, "revision", 0)))
-            for index in self._active(sharded)
+             pool.submit(_run_shard, task, sharded.path, index, expr,
+                         sharded.config.verify_checksums, sharded.revision))
+            for index in sharded.active_indices()
         ]
         parts = []
-        for index, future in futures:
-            self._check_request_deadline(deadline)
-            timeout = self.config.shard_timeout_s
-            if deadline is not None:
-                remaining = max(0.001, deadline.remaining())
-                timeout = (remaining if timeout is None
-                           else min(timeout, remaining))
-            try:
-                part, failed_over = future.result(timeout=timeout)
-                part = np.asarray(part)
-                self.replica_failovers += int(failed_over)
-                self._breaker(sharded, index).record_success()
-            except (BrokenProcessPool, PicklingError):
-                raise  # pool-level failure: the caller rebuilds/falls back
-            except _FuturesTimeout:
-                # Request budget spent while awaiting the worker: the
-                # caller gets the deadline error (a 503 upstream), and
-                # the straggler's eventual result is discarded.
+        try:
+            for index, future in futures:
                 self._check_request_deadline(deadline)
-                # Otherwise the worker is still grinding past its
-                # per-shard budget; the query cannot wait.  Re-evaluate
-                # in-process through the recovery path.
-                exc = DeadlineExceededError(
-                    f"shard {self._shard_name(sharded, index)} exceeded "
-                    f"the {self.config.shard_timeout_s}s per-shard budget"
-                )
-                part = self._recover_shard(sharded, index, expr, optimize,
-                                           shared, exc, deadline)
-            except (ShardStoreError, DeadlineExceededError) as exc:
-                part = self._recover_shard(sharded, index, expr, optimize,
-                                           shared, exc, deadline)
-            if part is not None:
-                parts.append(part)
+                timeout = self.config.shard_timeout_s
+                if deadline is not None:
+                    remaining = max(0.001, deadline.remaining())
+                    timeout = (remaining if timeout is None
+                               else min(timeout, remaining))
+                try:
+                    part, failed_over = future.result(timeout=timeout)
+                    self.replica_failovers += int(failed_over)
+                    self._breaker(sharded, index).record_success()
+                except (_FuturesTimeout, ShardStoreError,
+                        DeadlineExceededError) as exc:
+                    if isinstance(exc, _FuturesTimeout):
+                        # A spent request budget goes to the caller (a
+                        # 503 upstream).  Otherwise the worker is still
+                        # grinding past its per-shard budget; the query
+                        # cannot wait, so the shard is re-evaluated
+                        # in-process through the recovery path.
+                        self._check_request_deadline(deadline)
+                        exc = DeadlineExceededError(
+                            f"shard {sharded.shard_entries[index]['name']} "
+                            f"exceeded the {self.config.shard_timeout_s}s "
+                            f"per-shard budget"
+                        )
+                    part = self._recover_shard(task, sharded, index, expr,
+                                               cache, exc, deadline)
+                if part is not None:
+                    parts.append(part)
+        finally:
+            # A scatter that ends early (spent deadline, strict-policy
+            # shard error, broken pool) must not leave its queued tasks
+            # ahead of the next request.  Tasks a worker already holds
+            # cannot be cancelled; their results are discarded.
+            for __, future in futures:
+                future.cancel()
         self.parallel_queries += 1
-        return _merge_patient_results(parts)
+        return merge(parts)
 
     # -- per-shard recovery --------------------------------------------------
 
-    def _breaker(self, sharded, index: int) -> CircuitBreaker:
-        name = self._shard_name(sharded, index)
+    def _breaker(self, sharded: ShardedEventStore,
+                 index: int) -> CircuitBreaker:
+        name = str(sharded.shard_entries[index]["name"])
         breaker = self._breakers.get(name)
         if breaker is None:
             breaker = CircuitBreaker(
@@ -475,18 +356,17 @@ class ParallelExecutor:
             self._breakers[name] = breaker
         return breaker
 
-    def _recover_shard(self, sharded, index: int, expr, optimize: bool,
-                       cache: QueryCache, exc: Exception, deadline=None,
-                       eval_fn=None):
+    def _recover_shard(self, task, sharded: ShardedEventStore, index: int,
+                       expr, cache: QueryCache, exc: Exception,
+                       deadline=None):
         """One shard failed: retry in-process, then quarantine or raise.
 
-        Returns the shard's result on a successful retry (a patient-id
-        array, or a sketch when ``eval_fn`` overrides the evaluation),
-        ``None`` when the shard was quarantined (the query completes
-        degraded), and re-raises when the store's policy is the strict
-        default ``on_damage="fail"``.  A spent request ``deadline``
-        aborts the retry schedule immediately — recovery must not spend
-        wall clock the request no longer has.
+        Returns the task's result on a successful retry, ``None`` when
+        the shard was quarantined (the query completes degraded), and
+        re-raises when the store's policy is the strict default
+        ``on_damage="fail"``.  A spent request ``deadline`` aborts the
+        retry schedule immediately — recovery must not spend wall clock
+        the request no longer has.
 
         On a replicated store, a *transient* failure (timeout, open
         error) first rotates the shard's preferred replica — a worker
@@ -499,19 +379,14 @@ class ParallelExecutor:
         breaker.record_failure(str(exc))
         definite = isinstance(exc, _DEFINITE_DAMAGE)
         if not definite:
-            advance = getattr(sharded, "advance_replica", None)
-            if callable(advance) and advance(index):
+            if sharded.advance_replica(index):
                 self.replica_advances += 1
             for attempt in range(self._retry_policy.max_retries):
                 self._check_request_deadline(deadline)
                 self.shard_retries += 1
                 self._sleep(self._retry_policy.delay_for(attempt, self._rng))
                 try:
-                    if eval_fn is not None:
-                        part = eval_fn()
-                    else:
-                        part = self._eval_serial(sharded, index, expr,
-                                                 optimize, cache)
+                    part = self._run_local(task, sharded, index, expr, cache)
                 except (ShardStoreError, DeadlineExceededError,
                         OSError) as retry_exc:
                     breaker.record_failure(str(retry_exc))
@@ -522,11 +397,9 @@ class ParallelExecutor:
                 else:
                     breaker.record_success()
                     return part
-        quarantine = getattr(sharded, "quarantine_shard", None)
-        policy = getattr(sharded.config, "on_damage", "fail")
         if (definite or not breaker.allow()) \
-                and policy == "quarantine" and callable(quarantine):
-            quarantine(index, type(exc).__name__, str(exc))
+                and sharded.config.on_damage == "quarantine":
+            sharded.quarantine_shard(index, type(exc).__name__, str(exc))
             self.query_time_quarantines += 1
             return None
         raise exc

@@ -69,19 +69,16 @@ class Workbench:
         store: EventStore,
         report: IntegrationReport | None = None,
         config: WorkbenchConfig | None = None,
-        executor=None,
     ) -> None:
         self.store = store
         self.report = report
         self.config = config or WorkbenchConfig()
         self.engine = QueryEngine(
             store,
-            optimize=self.config.optimize_queries,
             cache=QueryCache(
                 max_entries=self.config.query_cache_entries,
                 max_bytes=self.config.query_cache_bytes,
             ),
-            executor=executor,
             analyze=self.config.analyze_queries,
         )
 
@@ -138,13 +135,11 @@ class Workbench:
         verification and memory mapping.
         """
         from repro.shard import (  # noqa: PLC0415 (cycle via query.engine)
-            ParallelExecutor,
             ShardedEventStore,
         )
 
-        store = ShardedEventStore(path, config=shard_config)
-        executor = ParallelExecutor(config=store.config)
-        return cls(store, config=config, executor=executor)
+        return cls(ShardedEventStore(path, config=shard_config),
+                   config=config)
 
     # -- incremental ingestion -----------------------------------------------
 
@@ -193,8 +188,7 @@ class Workbench:
 
     def _shard_degradation(self):
         """The store's ``QueryDegradation`` record, or None (flat store)."""
-        degradation = getattr(self.store, "degradation", None)
-        return degradation() if callable(degradation) else None
+        return self.store.degradation() if self.is_sharded else None
 
     @property
     def degraded_sources(self) -> dict[str, str]:
@@ -235,30 +229,22 @@ class Workbench:
             payload["quarantined"] = int(self.report.quarantined)
         if self.is_sharded:
             store = self.store
+            record = store.degradation()
             shards = {
                 "total": int(store.n_shards),
-                "active": int(getattr(store, "n_active_shards",
-                                      store.n_shards)),
+                "active": int(store.n_active_shards),
+                "quarantined": list(record.quarantined_shards),
+                "patients_lost": int(record.patients_lost),
+                "events_lost": int(record.events_lost),
+                "executor_mode": self.engine.executor.mode,
+                "pool_rebuilds": int(self.engine.executor.pool_rebuilds),
+                "ingestion": store.delta_stats(),
             }
-            record = self._shard_degradation()
-            if record is not None:
-                shards["quarantined"] = list(record.quarantined_shards)
-                shards["patients_lost"] = int(record.patients_lost)
-                shards["events_lost"] = int(record.events_lost)
-            executor = self.engine.executor
-            if executor is not None:
-                shards["executor_mode"] = executor.mode
-                shards["pool_rebuilds"] = int(executor.pool_rebuilds)
-            delta_stats = getattr(store, "delta_stats", None)
-            if callable(delta_stats):
-                shards["ingestion"] = delta_stats()
-            replication_stats = getattr(store, "replication_stats", None)
-            if callable(replication_stats):
-                replication = replication_stats()
-                if replication.get("replication", 1) > 1:
-                    shards["replication"] = int(replication["replication"])
-                    shards["zero_healthy_replica_shards"] = list(
-                        replication.get("zero_healthy_shards") or [])
+            replication = store.replication_stats()
+            if replication.get("replication", 1) > 1:
+                shards["replication"] = int(replication["replication"])
+                shards["zero_healthy_replica_shards"] = list(
+                    replication.get("zero_healthy_shards") or [])
             payload["shards"] = shards
         return payload
 
@@ -312,42 +298,29 @@ class Workbench:
         """JSON-ready shard/executor counters, or None for flat stores."""
         if not self.is_sharded:
             return None
+        from repro.shard.scrub import scrub_stats  # noqa: PLC0415
+
         store = self.store
-        payload = {
+        replication = store.replication_stats()
+        # serial-path failovers count in the store's counter;
+        # worker-process failovers only the executor sees
+        replication["replica_failovers"] = (
+            int(replication.get("replica_failovers", 0))
+            + int(self.engine.executor.replica_failovers)
+        )
+        return {
             "n_shards": int(store.n_shards),
-            "active_shards": int(getattr(store, "n_active_shards",
-                                         store.n_shards)),
+            "active_shards": int(store.n_active_shards),
             "open_shards": int(store.open_shard_count),
             "partition": store.partition,
             "path": store.path,
+            "degradation": store.degradation().to_json(),
+            "executor": self.engine.executor.stats_dict(),
+            "ingestion": store.delta_stats(),
+            "sketch": store.sketch_stats(),
+            "replication": replication,
+            "scrub": scrub_stats(store.path),
         }
-        record = self._shard_degradation()
-        if record is not None:
-            payload["degradation"] = record.to_json()
-        if self.engine.executor is not None:
-            payload["executor"] = self.engine.executor.stats_dict()
-        delta_stats = getattr(store, "delta_stats", None)
-        if callable(delta_stats):
-            payload["ingestion"] = delta_stats()
-        sketch_stats = getattr(store, "sketch_stats", None)
-        if callable(sketch_stats):
-            payload["sketch"] = sketch_stats()
-        replication_stats = getattr(store, "replication_stats", None)
-        if callable(replication_stats):
-            replication = replication_stats()
-            executor = self.engine.executor
-            if executor is not None:
-                # serial-path failovers count in the store's counter;
-                # worker-process failovers only the executor sees
-                replication["replica_failovers"] = (
-                    int(replication.get("replica_failovers", 0))
-                    + int(executor.replica_failovers)
-                )
-            payload["replication"] = replication
-            from repro.shard.scrub import scrub_stats  # noqa: PLC0415
-
-            payload["scrub"] = scrub_stats(store.path)
-        return payload
 
     def cohort(self, patient_ids: list[int] | np.ndarray) -> Cohort:
         """Materialize histories for the given patients."""
@@ -438,17 +411,9 @@ class Workbench:
         if self.is_sharded:
             if query is None:
                 return self.store.store_sketch()
-            if self.engine.executor is None:
-                from repro.shard.executor import (  # noqa: PLC0415 (cycle)
-                    ParallelExecutor,
-                )
-
-                self.engine.executor = ParallelExecutor(
-                    config=self.store.config
-                )
             return self.engine.executor.sketch_shards(
-                self.store, query, optimize=self.config.optimize_queries,
-                cache=self.engine.cache, deadline=deadline,
+                self.store, query, cache=self.engine.cache,
+                deadline=deadline,
             )
         from repro.shard.writer import subset_store  # noqa: PLC0415 (cycle)
 

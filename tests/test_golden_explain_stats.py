@@ -61,14 +61,19 @@ def test_query_explain_output_pinned(tmp_path, capsys):
     _check_golden("query_explain.txt", capsys.readouterr().out)
 
 
-def test_query_no_optimize_count_matches(tmp_path, capsys):
-    """The naive path agrees with the pinned optimized count."""
+def test_query_sharded_count_matches(tmp_path, capsys):
+    """The scatter-gather path agrees with the pinned flat-store count."""
     store_path = str(tmp_path / "golden.npz")
+    shard_path = str(tmp_path / "golden.shards")
     save_store(_golden_store(), store_path)
-    assert cli_main(["query", store_path, _QUERY, "--no-optimize"]) == 0
-    naive_line = capsys.readouterr().out.splitlines()[0]
+    assert cli_main(["shard", "build", store_path, "--out", shard_path,
+                     "--shards", "3"]) == 0
+    capsys.readouterr()
+    assert cli_main(["query", shard_path, _QUERY, "--shards",
+                     "--workers", "1"]) == 0
+    sharded_line = capsys.readouterr().out.splitlines()[0]
     golden = (GOLDEN_DIR / "query_explain.txt").read_text(encoding="utf-8")
-    assert naive_line == golden.splitlines()[0]
+    assert sharded_line == golden.splitlines()[0]
 
 
 def test_lint_query_json_pinned(capsys):

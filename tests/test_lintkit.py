@@ -392,13 +392,14 @@ def test_cli_module_runs_clean():
     assert "clean" in result.stdout
 
 
-def test_check_error_taxonomy_wrapper_still_works():
+def test_error_taxonomy_selection_runs_clean():
     result = subprocess.run(
-        [sys.executable, "tools/check_error_taxonomy.py"],
+        [sys.executable, "-m", "tools.lintkit",
+         "--select", "LK001,LK002,LK003"],
         cwd=ROOT, capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "error taxonomy ok" in result.stdout
+    assert "clean" in result.stdout
 
 
 if __name__ == "__main__":  # pragma: no cover

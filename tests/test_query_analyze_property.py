@@ -20,6 +20,7 @@ from repro.query.analyze import AnalysisContext, analyze_query
 from repro.query.ast import EventExpr, PatientExpr
 from repro.query.engine import QueryEngine
 
+from tests.naive_engine import NaiveEngine
 from tests.test_query_planner_property import (
     _RUNS,
     _STORES,
@@ -33,7 +34,7 @@ def test_unsatisfiable_verdicts_hold_on_real_stores(store_name, seed,
                                                     count):
     store = _STORES[store_name]
     context = AnalysisContext.from_store(store)
-    engine = QueryEngine(store, optimize=False)
+    engine = NaiveEngine(store)
     checked = 0
     for i, query in enumerate(_generated_corpus(store, seed, count)):
         for diag in analyze_query(query, context):

@@ -27,9 +27,10 @@ from repro.query.ast import (
     SexIs,
 )
 from repro.query.engine import QueryEngine
+from tests.naive_engine import NaiveEngine
 
 
-def _first_before_legacy(engine: QueryEngine, expr: FirstBefore) -> np.ndarray:
+def _first_before_legacy(engine, expr: FirstBefore) -> np.ndarray:
     """The pre-planner implementation (per-patient dict + Python sort),
     kept verbatim as the regression oracle."""
     store = engine.store
@@ -41,10 +42,10 @@ def _first_before_legacy(engine: QueryEngine, expr: FirstBefore) -> np.ndarray:
 
 
 class TestFirstBeforeRegression:
-    @pytest.mark.parametrize("optimize", [True, False],
+    @pytest.mark.parametrize("engine_cls", [QueryEngine, NaiveEngine],
                              ids=["planned", "naive"])
-    def test_matches_legacy_implementation(self, small_store, optimize):
-        engine = QueryEngine(small_store, optimize=optimize)
+    def test_matches_legacy_implementation(self, small_store, engine_cls):
+        engine = engine_cls(small_store)
         day_lo = int(small_store.day.min())
         day_hi = int(small_store.day.max())
         cutoffs = [day_lo - 1, day_lo, (day_lo + day_hi) // 2, day_hi,
@@ -114,10 +115,10 @@ def _demographic_store():
 class TestAgeRangeBoundaries:
     AT = 36_525  # 100 * 365.25
 
-    @pytest.mark.parametrize("optimize", [True, False],
+    @pytest.mark.parametrize("engine_cls", [QueryEngine, NaiveEngine],
                              ids=["planned", "naive"])
-    def test_boundaries_inclusive(self, optimize):
-        engine = QueryEngine(_demographic_store(), optimize=optimize)
+    def test_boundaries_inclusive(self, engine_cls):
+        engine = engine_cls(_demographic_store())
         at = self.AT
         # Exact lower and upper bounds both include the boundary age.
         assert engine.patients(AgeRange(100.0, 120.0, at)).tolist() == [1]

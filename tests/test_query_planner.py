@@ -36,6 +36,7 @@ from repro.query.planner import (
     normalize_patient,
     plan_query,
 )
+from tests.naive_engine import NaiveEngine
 
 _A = Category("gp_contact")
 _B = Category("hospital_stay")
@@ -165,7 +166,7 @@ class TestQueryCache:
 
 class TestEngineIntegration:
     def test_repeated_query_hits_cache(self, small_store):
-        engine = QueryEngine(small_store, optimize=True)
+        engine = QueryEngine(small_store)
         query = PatientAnd((_PB, _PA))
         first = engine.patients(query)
         hits_before = engine.cache.stats.hits
@@ -174,7 +175,7 @@ class TestEngineIntegration:
         assert engine.cache.stats.hits > hits_before
 
     def test_refinement_reuses_shared_subtrees(self, small_store):
-        engine = QueryEngine(small_store, optimize=True)
+        engine = QueryEngine(small_store)
         engine.patients(PatientAnd((_PB, _PA)))
         misses_before = engine.cache.stats.misses
         # The refinement shares both children; only the new conjunction
@@ -207,22 +208,22 @@ class TestEngineIntegration:
         assert a.content_token() != b.content_token()
 
     def test_planned_first_before_matches_naive(self, small_store):
-        planned = QueryEngine(small_store, optimize=True)
-        naive = QueryEngine(small_store, optimize=False)
+        planned = QueryEngine(small_store)
+        naive = NaiveEngine(small_store)
         expr = FirstBefore(Concept("T90"), 15_500)
         assert np.array_equal(planned.patients(expr), naive.patients(expr))
 
     def test_event_and_orders_by_selectivity(self, small_store):
         # Evaluating the rare clause first must not change the mask.
-        planned = QueryEngine(small_store, optimize=True)
-        naive = QueryEngine(small_store, optimize=False)
+        planned = QueryEngine(small_store)
+        naive = NaiveEngine(small_store)
         expr = EventAnd((_A, TimeWindow(15_400, 15_410),
                          CodeMatch("ICPC-2", "T90")))
         assert np.array_equal(planned.event_mask(expr),
                               naive.event_mask(expr))
 
     def test_explain_mentions_cache_state(self, small_store):
-        engine = QueryEngine(small_store, optimize=True)
+        engine = QueryEngine(small_store)
         query = PatientAnd((_PB, _PA))
         before = engine.explain(query)
         assert "[cached]" not in before
@@ -233,10 +234,10 @@ class TestEngineIntegration:
         assert "plan for:" in after
 
     def test_cache_stats_payload(self, small_store):
-        engine = QueryEngine(small_store, optimize=True)
+        engine = QueryEngine(small_store)
         engine.patients(_PA)
         payload = engine.cache_stats()
-        assert payload["optimize"] is True
+        assert set(payload) == set(engine.cache.stats_dict())
         assert payload["misses"] >= 1
 
 

@@ -7,7 +7,8 @@ evaluation order are observationally equivalent to the naive recursive
 engine: a seeded generator produces thousands of random ASTs spanning
 all 17 query node types, and every one must return bit-identical
 patient arrays from both engines — on a normal store, an empty store
-and a single-patient store.
+and a single-patient store.  The naive engine is
+:class:`tests.naive_engine.NaiveEngine`.
 
 This complements ``tests/test_query_property.py`` (naive engine vs a
 ``History``-object reference interpreter): together they chain
@@ -45,6 +46,7 @@ from repro.query.cache import QueryCache
 from repro.query.engine import QueryEngine
 from repro.query.planner import plan_query
 from repro.simulate.fast import generate_store_fast
+from tests.naive_engine import NaiveEngine
 
 #: Every node type of the query AST; the generator must cover them all.
 ALL_NODE_TYPES = (
@@ -191,8 +193,8 @@ def _generated_corpus(store, seed: int, count: int):
                          ids=[r[0] for r in _RUNS])
 def test_planned_equals_naive(store_name, seed, count):
     store = _STORES[store_name]
-    planned = QueryEngine(store, optimize=True)
-    naive = QueryEngine(store, optimize=False)
+    planned = QueryEngine(store)
+    naive = NaiveEngine(store)
     for i, query in enumerate(_generated_corpus(store, seed, count)):
         fast = planned.patients(query)
         slow = naive.patients(query)
@@ -226,8 +228,8 @@ def test_generator_covers_all_17_node_types():
 def test_warm_cache_results_stay_identical():
     """Re-running a refinement sequence entirely from cache is exact."""
     store = _STORES["small"]
-    planned = QueryEngine(store, optimize=True)
-    naive = QueryEngine(store, optimize=False)
+    planned = QueryEngine(store)
+    naive = NaiveEngine(store)
     base = HasEvent(Concept("T90"))
     refinements = [
         base,
@@ -246,9 +248,8 @@ def test_warm_cache_results_stay_identical():
 def test_planned_equals_naive_with_tiny_cache():
     """Heavy eviction (a 2-entry LRU) must never change results."""
     store = _STORES["small"]
-    planned = QueryEngine(store, optimize=True,
-                          cache=QueryCache(max_entries=2))
-    naive = QueryEngine(store, optimize=False)
+    planned = QueryEngine(store, cache=QueryCache(max_entries=2))
+    naive = NaiveEngine(store)
     for query in _generated_corpus(store, 4242, 150):
         assert np.array_equal(planned.patients(query),
                               naive.patients(query))

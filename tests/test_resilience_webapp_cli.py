@@ -270,8 +270,8 @@ class TestErrorTaxonomyLint:
 
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         result = subprocess.run(
-            [sys.executable, os.path.join(root, "tools",
-                                          "check_error_taxonomy.py")],
-            capture_output=True, text=True,
+            [sys.executable, "-m", "tools.lintkit",
+             "--select", "LK001,LK002,LK003"],
+            cwd=root, capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stdout + result.stderr

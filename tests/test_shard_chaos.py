@@ -11,11 +11,12 @@ modes (byte flip, truncated segment, deleted manifest) on the seeded
 query corpus, then repairs the store and proves full equality (and
 byte-identical content tokens) is restored.
 
-It also covers the executor's pool-level self-healing: a worker killed
-mid-query (via the seeded worker-kill token) must still yield the full,
-correct answer — serially for the poisoned query, in parallel again
-after the rebuild probe — and the webapp must surface shard damage
-through ``/healthz`` 503s, the degraded banner and ``/stats``.
+It also covers the executor's pool path: a worker killed mid-query (via
+the seeded worker-kill token) must still yield the full, correct answer
+— serially for the poisoned query, in parallel again after the rebuild
+probe — damage a worker finds after open is quarantined without
+breaking the pool, and the webapp must surface shard damage through
+``/healthz`` 503s, the degraded banner and ``/stats``.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ def test_degraded_results_equal_restricted_flat(flat_store, tmp_path,
     surviving = sharded.patient_ids
     assert len(surviving) + degradation.patients_lost == flat_store.n_patients
 
-    single = QueryEngine(flat_store, optimize=True)
-    merged = QueryEngine(sharded, optimize=True)
+    single = QueryEngine(flat_store)
+    merged = QueryEngine(sharded)
     for expr in _generated_corpus(flat_store, seed=29, count=40):
         expected = np.intersect1d(
             np.asarray(single.patients(expr)), surviving
@@ -111,7 +112,7 @@ def test_degraded_results_equal_restricted_flat(flat_store, tmp_path,
     healed = ShardedEventStore(root, config=_quarantine_config())
     assert not healed.degradation().is_degraded
     assert healed.content_token() == clean_token
-    healed_engine = QueryEngine(healed, optimize=True)
+    healed_engine = QueryEngine(healed)
     for expr in _generated_corpus(flat_store, seed=31, count=15):
         assert np.array_equal(
             np.asarray(healed_engine.patients(expr)),
@@ -181,6 +182,34 @@ def test_parallel_executor_over_quarantined_store(flat_store, tmp_path):
         assert np.array_equal(np.asarray(got), expected)
         # Only the surviving shards were scanned.
         assert executor.shards_scanned == N_SHARDS - len(applied)
+
+
+def test_pool_quarantines_damage_found_after_open(flat_store, tmp_path):
+    """Two workers, a byte flipped after the store opened: a worker finds
+    the damage, the typed error crosses the pool intact, and the shard
+    is quarantined without breaking or rebuilding the pool."""
+    root = _build(flat_store, tmp_path)
+    sharded = ShardedEventStore(
+        root, config=ShardConfig(on_damage="quarantine", n_workers=2)
+    )
+    applied = apply_shard_faults(root, ShardFaultPlan(seed=3, flip_bytes=1))
+    assert len(applied) == 1
+    single = QueryEngine(flat_store)
+    corpus = _generated_corpus(flat_store, seed=29, count=20)
+    with ParallelExecutor(config=sharded.config) as executor:
+        merged = QueryEngine(sharded, executor=executor)
+        results = [np.asarray(merged.patients(expr)) for expr in corpus]
+        stats = executor.stats_dict()
+    assert sharded.degradation().quarantined_shards == (applied[0]["shard"],)
+    surviving = sharded.patient_ids
+    for expr, got in zip(corpus, results):
+        expected = np.intersect1d(np.asarray(single.patients(expr)),
+                                  surviving)
+        assert np.array_equal(got, expected), expr
+    assert stats["query_time_quarantines"] == 1
+    assert stats["pool_failures"] == 0
+    assert stats["pool_rebuilds"] == 0
+    assert stats["parallel_queries"] == len(corpus)
 
 
 class TestWebappOverDamagedStore:

@@ -265,7 +265,7 @@ def test_concurrent_reads_see_pre_or_post_never_torn(tmp_path):
         writer.append(subset_store(population, pids[lo:lo + 10]))
 
     query = parse_query("sex F or sex M")
-    flat = QueryEngine(population, optimize=True)
+    flat = QueryEngine(population)
     expected = flat.patients(query)
     pre_token = ShardedEventStore(path).content_token()
 

@@ -29,6 +29,7 @@ from repro.shard import (
     write_sharded_store,
 )
 from repro.simulate.fast import generate_store_fast
+from tests.naive_engine import NaiveEngine
 from tests.test_query_planner_property import (
     ALL_NODE_TYPES,
     _generated_corpus,
@@ -57,7 +58,7 @@ def _sharded(store, tmp_path_factory, n_shards, partition="hash"):
 @pytest.mark.parametrize("n_shards,count", [(1, 500), (2, 500), (7, 300)])
 def test_sharded_equals_flat(flat_store, tmp_path_factory, n_shards, count):
     sharded = _sharded(flat_store, tmp_path_factory, n_shards)
-    single = QueryEngine(flat_store, optimize=True)
+    single = QueryEngine(flat_store)
     engine = QueryEngine(sharded)
     for i, query in enumerate(_generated_corpus(flat_store, 2016, count)):
         expected = single.patients(query)
@@ -92,7 +93,7 @@ def test_zero_patient_shards_are_transparent(tiny_store, tmp_path_factory):
     sharded = _sharded(tiny_store, tmp_path_factory, 7)
     empty = [e for e in sharded.shard_entries if e["n_patients"] == 0]
     assert empty, "expected at least one zero-patient shard"
-    single = QueryEngine(tiny_store, optimize=True)
+    single = QueryEngine(tiny_store)
     engine = QueryEngine(sharded)
     for query in _generated_corpus(tiny_store, 77, 200):
         assert np.array_equal(engine.patients(query),
@@ -101,7 +102,7 @@ def test_zero_patient_shards_are_transparent(tiny_store, tmp_path_factory):
 
 def test_range_partition_equals_flat(flat_store, tmp_path_factory):
     sharded = _sharded(flat_store, tmp_path_factory, 3, partition="range")
-    single = QueryEngine(flat_store, optimize=True)
+    single = QueryEngine(flat_store)
     engine = QueryEngine(sharded)
     for query in _generated_corpus(flat_store, 4242, 150):
         assert np.array_equal(engine.patients(query),
@@ -109,10 +110,10 @@ def test_range_partition_equals_flat(flat_store, tmp_path_factory):
 
 
 def test_naive_scatter_gather_equals_flat(flat_store, tmp_path_factory):
-    """optimize=False rides the same per-shard path and must agree too."""
+    """Scatter-gather agrees with the naive oracle on the flat store."""
     sharded = _sharded(flat_store, tmp_path_factory, 3)
-    single = QueryEngine(flat_store, optimize=False)
-    engine = QueryEngine(sharded, optimize=False)
+    single = NaiveEngine(flat_store)
+    engine = QueryEngine(sharded)
     for query in _generated_corpus(flat_store, 99, 150):
         assert np.array_equal(engine.patients(query),
                               single.patients(query))
@@ -121,7 +122,7 @@ def test_naive_scatter_gather_equals_flat(flat_store, tmp_path_factory):
 def test_parallel_pool_equals_flat(flat_store, tmp_path_factory):
     """The process-pool path returns the same arrays as the flat store."""
     sharded = _sharded(flat_store, tmp_path_factory, 2)
-    single = QueryEngine(flat_store, optimize=True)
+    single = QueryEngine(flat_store)
     with ParallelExecutor(n_workers=2) as executor:
         engine = QueryEngine(sharded, executor=executor)
         for query in _generated_corpus(flat_store, 7, 40):

@@ -93,7 +93,7 @@ def test_incremental_equals_rebuild(union_store, tmp_path, n_batches,
                         partition=partition)
     rebuilt = ShardedEventStore(rebuilt_path)
 
-    flat = QueryEngine(union_store, optimize=True)
+    flat = QueryEngine(union_store)
     incremental = QueryEngine(sharded)
     full = QueryEngine(rebuilt)
     for i, query in enumerate(_generated_corpus(union_store, 2016, 120)):
@@ -118,7 +118,7 @@ def test_compaction_preserves_every_answer(union_store, tmp_path, partition):
     sharded, __, __ = _incremental(union_store, tmp_path, 3, partition)
     assert sharded.has_pending_deltas
     pre_token = sharded.content_token()
-    flat = QueryEngine(union_store, optimize=True)
+    flat = QueryEngine(union_store)
     queries = list(_generated_corpus(union_store, 909, 60))
     before = [flat.patients(q) for q in queries]
 

@@ -3,16 +3,22 @@
 Every recovery decision in :class:`~repro.shard.executor.ParallelExecutor`
 is deterministic and observable, so these tests drive it with stubbed
 failure injections (a ``_parallel`` that raises ``BrokenProcessPool``, a
-``_eval_serial`` that fails N times, a recorded ``sleep``) and assert the
+``_run_local`` that fails N times, a recorded ``sleep``) and assert the
 exact state machine: fall back serially on a pool crash, probe parallel
 again spending one rebuild per probe, go permanently serial only when
 ``max_pool_rebuilds`` is exhausted; retry transient shard failures with
 seeded backoff, skip retries on definite damage, quarantine at query
 time only when the policy allows and the evidence (definite damage or an
-open breaker) demands it.
+open breaker) demands it.  Two pool-path edges run real workers: a typed
+shard error raised in a worker must not break the pool, and a scatter
+that ends early must cancel its queued per-shard tasks.
 """
 
 from __future__ import annotations
+
+import os
+import shutil
+import time
 
 import numpy as np
 import pytest
@@ -22,14 +28,30 @@ from repro.config import ShardConfig
 from repro.errors import (
     DeadlineExceededError,
     ShardChecksumError,
+    ShardFormatError,
     ShardStoreError,
 )
 from repro.query.engine import QueryEngine
 from repro.query.parser import parse_query
+from repro.resilience.retry import Deadline
 from repro.shard import ParallelExecutor, ShardedEventStore, write_sharded_store
+from repro.shard import executor as executor_module
 from repro.simulate.fast import generate_store_fast
 
 N_SHARDS = 4
+
+#: File the slowed per-shard task appends one byte to per call; set
+#: before the pool forks, so every worker inherits it.
+_CALL_LOG = ""
+_REAL_SHARD_PATIENTS = executor_module._shard_patients
+
+
+def _slow_shard_patients(sharded, index, expr, cache):
+    """The ids task, slowed to 0.25 s and counted (pickles by name)."""
+    with open(_CALL_LOG, "ab") as log:
+        log.write(b".")
+    time.sleep(0.25)
+    return _REAL_SHARD_PATIENTS(sharded, index, expr, cache)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +89,7 @@ class TestPoolSelfHealing:
         calls = {"n": 0}
         sentinel = np.asarray([1, 2, 3], dtype=np.int64)
 
-        def fake_parallel(sharded, expr, optimize, cache, deadline=None):
+        def fake_parallel(sharded, task, merge, expr, cache, deadline):
             calls["n"] += 1
             if calls["n"] <= fail_times:
                 raise BrokenProcessPool("injected pool crash")
@@ -153,18 +175,18 @@ class TestPoolSelfHealing:
 class TestShardRecovery:
     def _failing_eval(self, executor, bad_index: int, fail_times: int,
                       exc_factory):
-        """``_eval_serial`` that fails ``fail_times`` times on one shard."""
-        real = executor._eval_serial
+        """``_run_local`` that fails ``fail_times`` times on one shard."""
+        real = executor._run_local
         calls = {"n": 0}
 
-        def flaky(sharded, index, expr, optimize, cache):
+        def flaky(task, sharded, index, expr, cache):
             if index == bad_index:
                 calls["n"] += 1
                 if calls["n"] <= fail_times:
                     raise exc_factory()
-            return real(sharded, index, expr, optimize, cache)
+            return real(task, sharded, index, expr, cache)
 
-        executor._eval_serial = flaky
+        executor._run_local = flaky
         return calls
 
     @pytest.mark.parametrize("exc_factory", [
@@ -268,8 +290,6 @@ class TestShardRecovery:
         sharded = ShardedEventStore(
             root, config=ShardConfig(on_damage="quarantine"))
         assert not sharded.degradation().is_degraded
-        import os
-
         target = os.path.join(root, "shard-0002", "patient.npy")
         with open(target, "r+b") as f:
             f.seek(os.path.getsize(target) - 1)
@@ -288,3 +308,39 @@ class TestShardRecovery:
             sharded.patient_ids,
         )
         assert np.array_equal(np.asarray(got), expected)
+
+
+class TestPoolPathEdges:
+    def test_worker_raised_shard_error_keeps_the_pool(self, root, expr):
+        # A strict store loses a shard directory after open.  Workers
+        # hit the damage and raise ShardFormatError; the typed error
+        # must reach the parent intact rather than break the pool.
+        sharded = ShardedEventStore(root)
+        shutil.rmtree(os.path.join(root, "shard-0002"))
+        with ParallelExecutor(config=ShardConfig(n_workers=2)) as executor:
+            for __ in range(5):
+                with pytest.raises(ShardFormatError):
+                    executor.patients(sharded, expr)
+            assert executor.pool_failures == 0
+            assert executor.pool_rebuilds == 0
+            assert executor.mode == "parallel"
+
+    def test_deadline_expired_scatter_cancels_queued_tasks(
+            self, flat_store, tmp_path, monkeypatch):
+        path = str(tmp_path / "slow.shards")
+        write_sharded_store(flat_store, path, n_shards=8)
+        sharded = ShardedEventStore(path)
+        log = tmp_path / "calls"
+        log.write_bytes(b"")
+        # Installed before the pool forks, so the workers run it too.
+        monkeypatch.setattr(executor_module, "_shard_patients",
+                            _slow_shard_patients)
+        monkeypatch.setattr(f"{__name__}._CALL_LOG", str(log))
+        with ParallelExecutor(config=ShardConfig(n_workers=2)) as executor:
+            with pytest.raises(DeadlineExceededError):
+                executor.patients(sharded, parse_query("sex F"),
+                                  deadline=Deadline(0.3))
+            # Let every task still queued run to completion: only the
+            # ones workers had already taken may remain.
+            executor._pool.shutdown(wait=True)
+        assert 0 < len(log.read_bytes()) < 8

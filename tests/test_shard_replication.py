@@ -180,8 +180,8 @@ def test_failover_serial_exact(flat_store, tmp_path, kind, replica):
     assert not fsck_store(root).ok
 
     sharded = ShardedEventStore(root, config=_quarantine_config())
-    single = QueryEngine(flat_store, optimize=True)
-    merged = QueryEngine(sharded, optimize=True)
+    single = QueryEngine(flat_store)
+    merged = QueryEngine(sharded)
     for expr in _generated_corpus(flat_store, seed=23, count=15):
         assert np.array_equal(
             np.asarray(merged.patients(expr)),
@@ -341,8 +341,8 @@ def test_replicate_store_online(flat_store, tmp_path):
         replicate_store(root, 1)
 
     healed = ShardedEventStore(root, config=_quarantine_config())
-    single = QueryEngine(flat_store, optimize=True)
-    merged = QueryEngine(healed, optimize=True)
+    single = QueryEngine(flat_store)
+    merged = QueryEngine(healed)
     for expr in _generated_corpus(flat_store, seed=37, count=10):
         assert np.array_equal(
             np.asarray(merged.patients(expr)),

@@ -245,7 +245,7 @@ def test_query_masked_sketch_equals_brute_force(tmp_path, flat_store,
     """Query-refined sketches over the 17-node AST corpus are exact."""
     sharded = _build(tmp_path, flat_store, n_shards, n_deltas)
     flat = sharded.materialize_store()
-    engine = QueryEngine(flat, optimize=True)
+    engine = QueryEngine(flat)
     executor = sharded_executor(sharded)
     for i, query in enumerate(_generated_corpus(flat, 2016, 25)):
         ids = engine.patients(query)

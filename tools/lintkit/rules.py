@@ -1,7 +1,7 @@
 """The repository's lint rules.
 
-Error-taxonomy rules (ported from the original
-``tools/check_error_taxonomy.py``, the ISSUE-1 robustness contract):
+Error-taxonomy rules (the robustness contract; run just these with
+``python -m tools.lintkit --select LK001,LK002,LK003``):
 
 * **LK001** — no bare ``except:``; a handler must name what it catches.
 * **LK002** — ``except Exception``/``BaseException`` must re-raise,
