@@ -103,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "batch, so E6 populations fit")
     p.add_argument("--batch-size", type=int, default=20_000,
                    help="patients per streamed batch (with --stream)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="shard count for --stream (default: auto)")
+    p.add_argument("--shards", type=int, default=4,
+                   help="shard count for --stream (default 4)")
     p.add_argument("--out", required=True,
                    help="output .npz path (or directory with --stream)")
 

@@ -85,18 +85,11 @@ class ShardConfig:
         n_workers: processes used by the scatter-gather executor.
             ``None`` resolves to ``min(4, cpu_count)``; ``0`` or ``1``
             forces the serial in-process path (no pool is ever spawned).
-        default_shards: shard count :func:`repro.shard.write_sharded_store`
-            uses when the caller does not pick one.
-        partition: default partitioning scheme, ``"hash"`` (patient-id
-            hash, balanced regardless of id distribution) or ``"range"``
-            (contiguous patient-id ranges, keeps cohort locality).
         verify_checksums: verify every column file against its manifest
             checksum when a shard is first opened.  Turning this off
-            skips the O(bytes) read per shard open; ``shard verify``
-            always checks regardless.
-        mmap: open column files with ``np.load(mmap_mode="r")`` so a
-            shard costs address space, not resident memory, until its
-            columns are actually touched.
+            skips the O(bytes) read per shard open (the segment's
+            content token is still compared with the root manifest's);
+            ``shard verify`` always checks regardless.
         on_damage: what a :class:`~repro.shard.store.ShardedEventStore`
             does with a shard that fails checksum/format verification.
             ``"fail"`` (default) raises, making the whole store
@@ -119,12 +112,6 @@ class ShardConfig:
         shard_failure_threshold: consecutive failures before one shard's
             query-time circuit breaker opens; an open breaker quarantines
             the shard under ``on_damage="quarantine"``.
-        keep_generations: superseded base-segment generations the
-            compactor retains after installing a merged segment under a
-            new generation directory.  Keeping at least 1 lets readers
-            holding the previous root manifest (pool workers one
-            revision behind, sibling processes mid-query) keep
-            resolving; older generations are garbage collected.
         replication: replica copies (R) of every base/delta/compacted
             segment the writers land (``shard-0003/r0``, ``r1``, …).
             ``1`` keeps the legacy flat layout.  With R >= 2 the read
@@ -143,16 +130,12 @@ class ShardConfig:
     """
 
     n_workers: int | None = None
-    default_shards: int = 4
-    partition: str = "hash"
     verify_checksums: bool = True
-    mmap: bool = True
     on_damage: str = "fail"
     max_pool_rebuilds: int = 3
     shard_timeout_s: float | None = None
     shard_max_retries: int = 2
     shard_failure_threshold: int = 3
-    keep_generations: int = 1
     replication: int = 1
     scrub_bytes_per_tick: int = 32 * 1024 * 1024
     damage_log_max_bytes: int = 256 * 1024

@@ -9,7 +9,11 @@ parallel executor that evaluates one planned query per shard and merges
 the patient-id results.
 
 * :mod:`repro.shard.format` — the segment format: one directory per
-  shard holding ``.npy`` column files plus a checksummed JSON manifest;
+  shard holding ``.npy`` column files plus a checksummed JSON manifest,
+  and the primitives every other module walks it with — the segment
+  catalogue (``segments``), one verify (``check_replica`` /
+  ``verify_segment``) and one atomic directory install
+  (``install_dir``);
 * :mod:`repro.shard.writer` — partition an :class:`~repro.events.store.
   EventStore` by patient-id hash or contiguous range into N shards;
 * :mod:`repro.shard.store` — :class:`ShardedEventStore`, a lazy,

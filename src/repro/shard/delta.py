@@ -20,14 +20,17 @@ module adds the LSM-style append path:
   value2, detail) wins and earlier statements are dropped.  Batches
   that only *add* events merge exactly like
   :func:`repro.events.store.merge_stores`.
-* :class:`Compactor` folds each shard's deltas into a fresh base
-  segment installed under a new **generation** directory name
-  (``shard-0003.g1``, ``.g2``, ...) using the token-verified atomic
-  install from :mod:`repro.shard.repair` — readers holding the previous
+* :class:`Compactor` reads each shard's segments through the catalogue
+  (:func:`repro.shard.format.segments`, with replica failover) and folds
+  its deltas into a fresh base segment, installed under a new
+  **generation** directory name (``shard-0003.g1``, ``.g2``, ...) by
+  the one atomic directory install,
+  :func:`repro.shard.format.install_dir`, which verifies the staged
+  segment once before it moves in.  Readers holding the previous
   manifest keep resolving against the previous generation's files, so
-  compaction never blocks or tears a concurrent query.  Old generations
-  beyond :attr:`repro.config.ShardConfig.keep_generations` are garbage
-  collected after the manifest commit.
+  compaction never blocks or tears a concurrent query.  Exactly one
+  superseded generation (:data:`KEEP_GENERATIONS`) is kept after the
+  manifest commit; older ones are garbage collected.
 
 Durability: every file written on this path is fsynced before its
 ``os.replace`` and the directory entry after, and each boundary is a
@@ -44,20 +47,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import ShardConfig
 from repro.errors import EventModelError, ShardFormatError
 from repro.events.store import EventStore, default_systems
 from repro.shard.format import (
+    install_dir,
     open_segment_any,
     read_store_manifest,
+    segment_dir,
+    segment_entry,
+    segments,
     write_replicated_segment,
     write_store_manifest,
 )
 from repro.shard.writer import (
-    _remap_tables,
+    conform_tables,
     hash_shard_of,
     shard_dir_name,
     subset_store,
+    union_tables,
 )
 
 __all__ = [
@@ -73,8 +80,10 @@ __all__ = [
 
 #: Delta directories are named ``delta-NNNNNN`` inside the shard dir.
 DELTA_PREFIX = "delta-"
-#: Compaction tmp directories (cleaned as orphans when a crash strands one).
-COMPACT_TMP_PREFIX = ".compact-"
+#: Superseded base generations a compaction keeps: readers holding the
+#: previous root manifest (a pool worker one revision behind, a sibling
+#: process mid-query) keep resolving against them.
+KEEP_GENERATIONS = 1
 
 #: The event-row columns of one segment, in store order.
 _EVENT_COLUMNS = ("patient", "day", "end", "is_point", "category", "system",
@@ -259,11 +268,6 @@ def _clean_orphan_deltas(shard_dir: str, referenced: set[str]) -> list[str]:
     return removed
 
 
-def _table_mapping(union: list[str], own: list[str]) -> np.ndarray:
-    index = {v: i for i, v in enumerate(union)}
-    return np.asarray([index[v] for v in own], dtype=np.int64)
-
-
 class DeltaWriter:
     """Appends event batches to an existing sharded store as deltas.
 
@@ -278,9 +282,8 @@ class DeltaWriter:
     concurrent *readers* are always safe.
     """
 
-    def __init__(self, path: str, config: ShardConfig | None = None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.config = config or ShardConfig()
 
     def append(self, batch: EventStore) -> dict:
         """Land one batch as delta segments; return the new root manifest.
@@ -306,23 +309,12 @@ class DeltaWriter:
         if batch.n_events == 0 and batch.n_patients == 0:
             return manifest  # nothing to land; revision unchanged
 
-        categories = list(manifest["categories"])
-        sources = list(manifest["sources"])
-        details = list(manifest["details"])
-        for union, own in ((categories, batch.categories),
-                           (sources, batch.sources),
-                           (details, batch.details)):
-            known = set(union)
-            union.extend(v for v in own if v not in known)
-        if (batch.categories != categories or batch.sources != sources
-                or batch.details != details):
-            batch = _remap_tables(
-                batch, categories, sources, details,
-                _table_mapping(categories, batch.categories),
-                _table_mapping(sources, batch.sources),
-                _table_mapping(details, batch.details),
-            )
-
+        tables = union_tables(
+            (manifest["categories"], manifest["sources"],
+             manifest["details"]),
+            (batch.categories, batch.sources, batch.details),
+        )
+        batch = conform_tables(batch, tables)
         entries = [dict(entry) for entry in manifest["shards"]]
         replication = max(1, int(manifest.get("replication", 1)))
         if manifest["partition"] == "hash":
@@ -334,7 +326,7 @@ class DeltaWriter:
             pids = batch.patient_ids[assignment == index]
             if not len(pids):
                 continue
-            shard_dir = os.path.join(self.path, entry["name"])
+            shard_dir = segment_dir(self.path, entry["name"])
             if not os.path.isdir(shard_dir):
                 raise ShardFormatError(
                     self.path,
@@ -343,21 +335,13 @@ class DeltaWriter:
                 )
             deltas = [dict(d) for d in entry.get("deltas") or []]
             _clean_orphan_deltas(shard_dir, {d["name"] for d in deltas})
-            piece = subset_store(batch, pids)
             name = delta_dir_name(len(deltas))
             seg = write_replicated_segment(
-                piece, os.path.join(shard_dir, name), index,
+                subset_store(batch, pids),
+                segment_dir(self.path, entry["name"], name), index,
                 replication=replication, durable=True,
             )
-            deltas.append({
-                "name": name,
-                "n_patients": seg["n_patients"],
-                "n_events": seg["n_events"],
-                "patient_min": seg["patient_min"],
-                "patient_max": seg["patient_max"],
-                "content_token": seg["content_token"],
-            })
-            entry["deltas"] = deltas
+            entry["deltas"] = [*deltas, segment_entry(name, seg)]
             # Widen the entry's recorded id range over the new patients
             # (range routing and owner_of read these).
             for key, seg_value, pick in (("patient_min",
@@ -374,23 +358,15 @@ class DeltaWriter:
         # are nominal (base + delta counts; last-write-wins may collapse
         # restated events) — ShardedEventStore reports exact counts
         # while deltas are pending, and compaction restores exactness.
-        return write_store_manifest(
-            self.path,
-            partition=manifest["partition"],
-            system_names=manifest["system_names"],
-            system_sizes=manifest["system_sizes"],
-            categories=categories,
-            sources=sources,
-            details=details,
-            total_patients=int(manifest["total_patients"])
-            + int(batch.n_patients),
-            total_events=int(manifest["total_events"])
-            + int(batch.n_events),
-            shard_entries=entries,
-            revision=int(manifest.get("revision", 0)) + 1,
-            replication=replication,
-            durable=True,
-        )
+        categories, sources, details = tables
+        return write_store_manifest(self.path, {
+            **manifest,
+            "categories": categories,
+            "sources": sources,
+            "details": details,
+            "shards": entries,
+            "revision": int(manifest.get("revision", 0)) + 1,
+        }, durable=True)
 
 
 # -- compaction ----------------------------------------------------------------
@@ -458,27 +434,29 @@ class Compactor:
 
     Designed to run in the background (a thread, a cron'd ``shard
     compact``) next to live readers: merged segments install under new
-    generation directory names via the token-verified atomic install,
-    the root manifest commits in one durable replace, and only then are
-    generations older than ``keep_generations`` behind the new one
+    generation directory names via the atomic directory install, the
+    root manifest commits in one durable replace, and only then are
+    generations more than :data:`KEEP_GENERATIONS` behind the new one
     deleted — a reader holding the previous manifest still resolves.
     Like appends, compaction is single-writer per store.
     """
 
-    def __init__(self, path: str, config: ShardConfig | None = None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.config = config or ShardConfig()
 
     def compact(self, indices: list[int] | None = None) -> CompactionReport:
         """Compact every shard with pending deltas (or just ``indices``)."""
-        from repro.shard.repair import _install_segment  # noqa: PLC0415
-
         manifest = read_store_manifest(self.path)
-        systems = default_systems()
+        open_kwargs = {
+            "systems": default_systems(),
+            "system_names": manifest["system_names"],
+            "categories": manifest["categories"],
+            "sources": manifest["sources"],
+            "details": manifest["details"],
+        }
         entries = [dict(entry) for entry in manifest["shards"]]
         replication = max(1, int(manifest.get("replication", 1)))
         actions: list[CompactionAction] = []
-        changed = False
         for index, entry in enumerate(entries):
             deltas = entry.get("deltas") or []
             if indices is not None and index not in indices:
@@ -489,99 +467,57 @@ class Compactor:
                 actions.append(CompactionAction(
                     entry["name"], index, "skipped", "no pending deltas"))
                 continue
-            shard_dir = os.path.join(self.path, entry["name"])
-            open_kwargs = {
-                "systems": systems,
-                "system_names": manifest["system_names"],
-                "categories": manifest["categories"],
-                "sources": manifest["sources"],
-                "details": manifest["details"],
-                "verify_checksums": True,
-                "mmap": self.config.mmap,
-            }
             # Compaction reads through the replica failover too: one
             # damaged replica never blocks folding the deltas in.
-            __, base = open_segment_any(shard_dir, replication,
-                                        **open_kwargs)
-            delta_stores = [
-                open_segment_any(os.path.join(shard_dir, d["name"]),
-                                 replication, **open_kwargs)[1]
-                for d in deltas
+            base, *delta_stores = [
+                open_segment_any(segment, **open_kwargs)[1]
+                for segment in segments(self.path, manifest, index)
             ]
             merged = resolve_segments(base, delta_stores)
             generation = int(entry.get("generation") or 0) + 1
             new_name = generation_dir_name(index, generation)
-            stranded = os.path.join(self.path, new_name)
-            if os.path.isdir(stranded):
-                # A crashed earlier compaction left this unreferenced
-                # generation behind; no manifest points at it.
-                shutil.rmtree(stranded)
-            seg = _install_segment(self.path, new_name, index, merged,
-                                   durable=True, replication=replication)
-            entry.update({
-                "name": new_name,
-                "generation": generation,
-                "deltas": [],
-                "n_patients": seg["n_patients"],
-                "n_events": seg["n_events"],
-                "patient_min": seg["patient_min"],
-                "patient_max": seg["patient_max"],
-                "content_token": seg["content_token"],
-            })
-            changed = True
+            # A generation stranded by a crashed earlier compaction (no
+            # manifest points at it) is moved aside by the install.
+            seg = install_dir(
+                segment_dir(self.path, new_name),
+                lambda tmp: write_replicated_segment(
+                    merged, tmp, index, replication=replication,
+                    durable=True),
+                replication=replication, durable=True,
+            )
+            entries[index] = segment_entry(new_name, seg,
+                                           generation=generation, deltas=[])
             actions.append(CompactionAction(
-                entry["name"], index, "compacted",
-                f"generation {generation}",
+                new_name, index, "compacted", f"generation {generation}",
                 deltas_merged=len(deltas),
                 events_merged=int(seg["n_events"]),
             ))
         revision = int(manifest.get("revision", 0))
         removed: tuple[str, ...] = ()
-        if changed:
+        if any(a.action == "compacted" for a in actions):
             revision += 1
-            write_store_manifest(
-                self.path,
-                partition=manifest["partition"],
-                system_names=manifest["system_names"],
-                system_sizes=manifest["system_sizes"],
-                categories=manifest["categories"],
-                sources=manifest["sources"],
-                details=manifest["details"],
-                total_patients=sum(
-                    int(e["n_patients"])
-                    + sum(int(d["n_patients"]) for d in e.get("deltas") or [])
-                    for e in entries
-                ),
-                total_events=sum(
-                    int(e["n_events"])
-                    + sum(int(d["n_events"]) for d in e.get("deltas") or [])
-                    for e in entries
-                ),
-                shard_entries=entries,
-                revision=revision,
-                replication=replication,
-                durable=True,
-            )
+            write_store_manifest(self.path, {
+                **manifest, "shards": entries, "revision": revision,
+            }, durable=True)
             removed = tuple(self._collect_garbage(entries))
         return CompactionReport(path=self.path, actions=tuple(actions),
                                 revision=revision, removed_dirs=removed)
 
     def _collect_garbage(self, entries: list[dict]) -> list[str]:
-        """Delete generations more than ``keep_generations`` behind.
+        """Delete generations more than :data:`KEEP_GENERATIONS` behind.
 
         Runs strictly *after* the manifest commit.  Keeping the most
-        recent superseded generation(s) is what lets a reader holding
-        the previous manifest — a pool worker one revision behind, a
+        recent superseded generation is what lets a reader holding the
+        previous manifest — a pool worker one revision behind, a
         sibling process mid-query — keep resolving; it catches up on
         its next open.
         """
-        keep = max(0, int(getattr(self.config, "keep_generations", 1)))
         removed: list[str] = []
         for index, entry in enumerate(entries):
             current = int(entry.get("generation") or 0)
-            for generation in range(0, current - keep):
+            for generation in range(0, current - KEEP_GENERATIONS):
                 name = generation_dir_name(index, generation)
-                directory = os.path.join(self.path, name)
+                directory = segment_dir(self.path, name)
                 if os.path.isdir(directory):
                     shutil.rmtree(directory)
                     removed.append(name)

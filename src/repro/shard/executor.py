@@ -110,18 +110,28 @@ def _shard_sketch(sharded, index: int, expr, cache):
 
 
 def _run_shard(task, path: str, index: int, expr, verify_checksums: bool,
-               revision: int):
+               revision: int, expires_at: float | None):
     """Worker entry point: run one per-shard ``task`` on one shard.
+
+    ``expires_at`` is the request's absolute ``time.monotonic()``
+    expiry (``None`` = no deadline).  A task that leaves the pool's
+    call queue after it — where ``future.cancel()`` cannot reach it —
+    belongs to a request that has already been answered (a 503), so
+    it raises :class:`~repro.errors.DeadlineExceededError` without
+    running, instead of delaying the next request behind it.
 
     ``revision`` is the parent's view of the store's root-manifest
     revision.  A cached worker store on a different revision is stale —
     a delta append or compaction moved the manifest under it — and is
     reopened, so a query never mixes one worker's pre-append shard view
-    with another's post-append view.  Superseded segment generations
-    are retained through one compaction (``keep_generations``), so a
-    worker one revision behind still resolves; further behind, the
-    failure surfaces as an ordinary shard error and the parent's
-    recovery path re-evaluates serially against its own manifest.
+    with another's post-append view.  One superseded segment generation
+    is retained through a compaction
+    (:data:`~repro.shard.delta.KEEP_GENERATIONS`), so a worker one
+    revision behind still resolves; further behind, the failure
+    surfaces as an ordinary shard error and the parent's recovery path
+    re-evaluates serially against its own manifest.  Every segment open
+    checks the root manifest's content token, so a worker never serves
+    a segment its manifest does not describe.
 
     Returns ``(result, replica_failovers)`` — the second element is how
     many replica failovers the worker's store performed for this call,
@@ -130,6 +140,10 @@ def _run_shard(task, path: str, index: int, expr, verify_checksums: bool,
     """
     if claim_worker_kill():
         os._exit(43)  # simulate a hard worker crash (chaos harness)
+    if expires_at is not None and time.monotonic() > expires_at:
+        raise DeadlineExceededError(
+            "shard task skipped: its request deadline had passed"
+        )
     sharded = _WORKER_STORES.get(path)
     if sharded is None or sharded.revision != revision:
         sharded = ShardedEventStore(
@@ -293,10 +307,13 @@ class ParallelExecutor:
     def _parallel(self, sharded: ShardedEventStore, task, merge, expr,
                   cache: QueryCache, deadline):
         pool = self._ensure_pool()
+        expires_at = (None if deadline is None
+                      else time.monotonic() + deadline.remaining())
         futures = [
             (index,
              pool.submit(_run_shard, task, sharded.path, index, expr,
-                         sharded.config.verify_checksums, sharded.revision))
+                         sharded.config.verify_checksums, sharded.revision,
+                         expires_at))
             for index in sharded.active_indices()
         ]
         parts = []
@@ -312,8 +329,10 @@ class ParallelExecutor:
                     part, failed_over = future.result(timeout=timeout)
                     self.replica_failovers += int(failed_over)
                     self._breaker(sharded, index).record_success()
-                except (_FuturesTimeout, ShardStoreError,
-                        DeadlineExceededError) as exc:
+                # A worker's deadline skip (DeadlineExceededError) is
+                # the request's overrun, never a shard failure: it is
+                # not caught here, so it bypasses the recovery path.
+                except (_FuturesTimeout, ShardStoreError) as exc:
                     if isinstance(exc, _FuturesTimeout):
                         # A spent request budget goes to the caller (a
                         # 503 upstream).  Otherwise the worker is still
@@ -333,8 +352,10 @@ class ParallelExecutor:
         finally:
             # A scatter that ends early (spent deadline, strict-policy
             # shard error, broken pool) must not leave its queued tasks
-            # ahead of the next request.  Tasks a worker already holds
-            # cannot be cancelled; their results are discarded.
+            # ahead of the next request.  Tasks already in the pool's
+            # call queue cannot be cancelled: past the request's expiry
+            # they skip themselves (see _run_shard).  Results of tasks
+            # a worker already runs are discarded.
             for __, future in futures:
                 future.cancel()
         self.parallel_queries += 1

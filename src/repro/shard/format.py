@@ -1,4 +1,4 @@
-"""The on-disk segment format: ``.npy`` columns plus a JSON manifest.
+"""The on-disk segment format and the one segment catalogue.
 
 One shard is one directory::
 
@@ -35,6 +35,22 @@ root manifest records a single entry per shard plus the store-wide
 ``replication`` count; :func:`replica_paths` maps a segment directory
 to its replica directories (the legacy flat layout is the R=1 case).
 
+This module owns the layout, and every walker goes through three
+primitives here instead of re-deriving it:
+
+* :func:`segments` — the catalogue: each shard's base segment, then its
+  delta segments, with the root manifest's content token and the
+  replica directories of each.  Opens, fsck, the scrubber, salvage,
+  replication and compaction all list segments through it.
+* :func:`check_replica` — the one verify primitive: it reports every
+  problem of one replica (manifest format, listed checksums, each
+  column's hash, and a content token that differs from the
+  catalogue's).  :func:`verify_segment` is its raise-first form, the
+  check every open runs.
+* :func:`install_dir` — the one atomic directory install (stage, verify
+  the staged copy, move the old directory aside, replace, fsync) used
+  by replica copies, repair and compaction.
+
 Every file is written to a temporary name in the same directory and
 ``os.replace``d into place, then the directory entry is fsynced, so a
 crash mid-write can leave stray temporaries but never a truncated
@@ -44,33 +60,42 @@ tear the rename back out of the directory.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import shutil
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ShardChecksumError, ShardFormatError
+from repro.errors import ShardChecksumError, ShardFormatError, ShardStoreError
 from repro.events.store import EventStore, default_systems
 from repro.resilience.faults import crashpoint
 
 __all__ = [
     "COLUMNS",
     "MANIFEST_NAME",
-    "REPLICA_ASIDE_PREFIX",
-    "REPLICA_TMP_PREFIX",
+    "Problem",
     "SHARD_FORMAT_VERSION",
+    "Segment",
     "atomic_replace",
+    "check_column",
+    "check_replica",
     "checksum_file",
     "fsync_dir",
+    "install_dir",
     "open_segment",
     "open_segment_any",
+    "quarantine_slot",
     "read_store_manifest",
     "replica_dir_name",
     "replica_paths",
     "replicate_segment_dir",
+    "segment_dir",
+    "segment_entry",
+    "segments",
     "verify_segment",
     "write_replicated_segment",
     "write_segment",
@@ -87,6 +112,10 @@ COLUMNS = (
     "value", "value2", "source", "detail",
     "patient_ids", "birth_days", "sexes",
 )
+
+#: Segment-manifest fields the root manifest records per segment.
+_ENTRY_FIELDS = ("n_patients", "n_events", "patient_min", "patient_max",
+                 "content_token")
 
 
 def atomic_replace(path: str, write, durable: bool = False) -> None:
@@ -140,9 +169,9 @@ def fsync_dir(directory: str) -> None:
     fd = os.open(directory, os.O_RDONLY)
     try:
         # fsync_dir is the protocol's terminal primitive: every caller
-        # (atomic_replace, _install_segment, save_store, …) places its
-        # own crashpoint around the enclosing replace+fsync sequence, so
-        # a crashpoint here would double-count each install boundary.
+        # (atomic_replace, install_dir, save_store, …) places its own
+        # crashpoint around the enclosing replace+fsync sequence, so a
+        # crashpoint here would double-count each install boundary.
         os.fsync(fd)  # lintkit: disable=LK202
     except OSError:
         pass  # some filesystems refuse directory fsync; rename still landed
@@ -231,14 +260,55 @@ def write_segment(store: EventStore, directory: str, index: int,
     return manifest
 
 
-def verify_segment(directory: str) -> dict:
-    """Re-hash every column file against the shard manifest.
+def segment_entry(name: str, manifest: dict, **extra) -> dict:
+    """The root manifest's record of segment ``name`` (plus ``extra``).
 
-    Returns the manifest on success; raises
-    :class:`~repro.errors.ShardFormatError` for layout problems and
-    :class:`~repro.errors.ShardChecksumError` for the first corrupt
-    column found.
+    ``manifest`` is the segment manifest :func:`write_segment` returned
+    (or :func:`install_dir` verified): counts, patient-id range and
+    content token.  Shard entries add ``generation`` and ``deltas``.
     """
+    return {"name": name, **{k: manifest[k] for k in _ENTRY_FIELDS},
+            **extra}
+
+
+# -- verification --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One thing wrong with one replica directory.
+
+    ``status`` is ``missing`` (the directory is gone), ``format`` (its
+    manifest is missing, not JSON, of another version or lists no
+    checksum for a column) or ``checksum`` (a column file is missing or
+    hashes wrong, or the content token differs from the root
+    manifest's).  ``column`` names the damaged column —
+    ``content_token`` for a drifted token.
+    """
+
+    status: str
+    detail: str
+    column: str = ""
+    expected: str = ""
+    actual: str = ""
+
+    def error(self, directory: str) -> ShardStoreError:
+        """The exception an open raises for this problem.
+
+        A mismatch between a recorded and an observed value (a column
+        hash, the content token) is :class:`ShardChecksumError`;
+        anything else (a missing file or directory, a bad manifest) is
+        :class:`ShardFormatError`.
+        """
+        if self.actual:
+            return ShardChecksumError(os.path.basename(directory),
+                                      self.column, self.expected,
+                                      self.actual)
+        return ShardFormatError(directory, self.detail)
+
+
+def _segment_manifest(directory: str) -> dict:
+    """One replica's manifest, or :class:`ShardFormatError`."""
     manifest = _read_json(os.path.join(directory, MANIFEST_NAME))
     if manifest.get("format_version") != SHARD_FORMAT_VERSION:
         raise ShardFormatError(
@@ -246,22 +316,76 @@ def verify_segment(directory: str) -> dict:
             f"unsupported shard format version "
             f"{manifest.get('format_version')!r}",
         )
-    columns = manifest.get("columns", {})
-    missing = [name for name in COLUMNS if name not in columns]
-    if missing:
+    unlisted = [name for name in COLUMNS
+                if name not in manifest.get("columns", {})]
+    if unlisted:
         raise ShardFormatError(
-            directory, f"manifest lists no checksum for columns {missing}"
+            directory, f"manifest lists no checksum for columns {unlisted}"
         )
-    for name in COLUMNS:
-        path = os.path.join(directory, f"{name}.npy")
-        if not os.path.exists(path):
-            raise ShardFormatError(directory, f"missing column file {name}.npy")
-        actual = checksum_file(path)
-        expected = columns[name]["checksum"]
-        if actual != expected:
-            raise ShardChecksumError(
-                os.path.basename(directory), name, expected, actual
-            )
+    return manifest
+
+
+def check_column(directory: str, manifest: dict, name: str) -> Problem | None:
+    """Re-hash one column file against its replica manifest's checksum."""
+    path = os.path.join(directory, f"{name}.npy")
+    if not os.path.exists(path):
+        return Problem("checksum", f"{name}.npy missing", name)
+    expected = manifest["columns"][name]["checksum"]
+    actual = checksum_file(path)
+    if actual != expected:
+        return Problem("checksum", f"{name}.npy checksum mismatch", name,
+                       expected, actual)
+    return None
+
+
+def _problems(directory: str, manifest: dict, token: str | None,
+              columns=COLUMNS):
+    """Lazily, the token and column problems of a parsed replica."""
+    recorded = manifest.get("content_token")
+    if token is not None and recorded != token:
+        yield Problem("checksum",
+                      "content token drifted from the root manifest",
+                      "content_token", token, str(recorded))
+    for name in columns:
+        problem = check_column(directory, manifest, name)
+        if problem is not None:
+            yield problem
+
+
+def check_replica(directory: str, token: str | None = None,
+                  columns=COLUMNS) -> tuple[dict | None, list[Problem]]:
+    """Every problem of one replica directory, raising nothing.
+
+    Returns the replica's manifest (``None`` when it cannot be read)
+    and its problems: a missing directory or a bad manifest is the only
+    problem reported; otherwise a ``token`` that differs from the
+    manifest's ``content_token`` and every listed ``columns`` file that
+    is missing or hashes wrong.  ``columns=()`` checks the manifest and
+    token alone (the scrubber's per-replica unit).
+    """
+    if not os.path.isdir(directory):
+        return None, [Problem("missing", "replica directory is gone")]
+    try:
+        manifest = _segment_manifest(directory)
+    except ShardFormatError as exc:
+        return None, [Problem("format", exc.detail)]
+    return manifest, list(_problems(directory, manifest, token, columns))
+
+
+def verify_segment(directory: str, token: str | None = None,
+                   columns=COLUMNS) -> dict:
+    """The raise-first form of :func:`check_replica`.
+
+    Returns the manifest on success; raises
+    :class:`~repro.errors.ShardFormatError` for layout problems and
+    :class:`~repro.errors.ShardChecksumError` for the first corrupt
+    listed ``columns`` file found — or, when ``token`` is given, for a
+    manifest whose ``content_token`` differs from it (column
+    ``content_token``).
+    """
+    manifest = _segment_manifest(directory)
+    for problem in _problems(directory, manifest, token, columns):
+        raise problem.error(directory)
     return manifest
 
 
@@ -273,31 +397,24 @@ def open_segment(
     sources: list[str],
     details: list[str],
     verify_checksums: bool = True,
-    mmap: bool = True,
+    token: str | None = None,
 ) -> EventStore:
-    """Open one shard directory as a (memory-mapped) :class:`EventStore`.
+    """Open one shard directory as a memory-mapped :class:`EventStore`.
 
-    The shard's memoized ``content_token`` comes straight from the
-    manifest: it is content-addressed, so a stale value can only cause a
-    query-cache miss, never a wrong hit — and trusting it keeps shard
-    opens O(metadata) when checksum verification is off.
+    ``token`` is the root manifest's record of the segment: a replica
+    whose own manifest names another ``content_token`` raises
+    :class:`~repro.errors.ShardChecksumError` even when checksum
+    verification is off (one string compare).  The token itself comes
+    straight from the manifest — it is content-addressed, so trusting
+    it keeps opens O(metadata) when columns are not re-hashed.
     """
-    if verify_checksums:
-        manifest = verify_segment(directory)
-    else:
-        manifest = _read_json(os.path.join(directory, MANIFEST_NAME))
-        if manifest.get("format_version") != SHARD_FORMAT_VERSION:
-            raise ShardFormatError(
-                directory,
-                f"unsupported shard format version "
-                f"{manifest.get('format_version')!r}",
-            )
-    mode = "r" if mmap else None
+    manifest = verify_segment(directory, token,
+                              COLUMNS if verify_checksums else ())
     arrays = {}
     for name in COLUMNS:
         path = os.path.join(directory, f"{name}.npy")
         try:
-            arrays[name] = np.load(path, mmap_mode=mode)
+            arrays[name] = np.load(path, mmap_mode="r")
         except (OSError, ValueError) as exc:
             raise ShardFormatError(
                 directory, f"column file {name}.npy failed to load: {exc}"
@@ -310,19 +427,12 @@ def open_segment(
         details=list(details),
         **arrays,
     )
-    token = manifest.get("content_token")
-    if token:
-        store._content_token = token
+    if manifest.get("content_token"):
+        store._content_token = manifest["content_token"]
     return store
 
 
-# -- replicas ------------------------------------------------------------------
-
-#: Temporary directory prefix used while staging a replica copy, and the
-#: prefix a damaged replica is renamed to while the fresh copy replaces
-#: it.  Both are reported by fsck as orphans, never as damage.
-REPLICA_TMP_PREFIX = ".rep-"
-REPLICA_ASIDE_PREFIX = ".old-"
+# -- the catalogue -------------------------------------------------------------
 
 
 def replica_dir_name(replica: int) -> str:
@@ -348,58 +458,176 @@ def replica_paths(segment_dir: str, replication: int) -> list[str]:
     ]
 
 
-def replicate_segment_dir(source: str, target: str, *,
-                          expected_token: str | None = None,
-                          durable: bool = False) -> dict:
-    """Install a byte-identical copy of segment ``source`` at ``target``.
+def segment_dir(root: str, shard_name: str, delta: str | None = None) -> str:
+    """Where a shard's base segment, or its delta segment ``delta``, lives."""
+    shard_dir = os.path.join(root, shard_name)
+    return shard_dir if delta is None else os.path.join(shard_dir, delta)
 
-    The copy is token-verified twice: the source is re-hashed against
-    its manifest before any byte moves, and the staged copy is verified
-    again before it replaces ``target`` — a peer replica can never be
-    "repaired" from a silently corrupt source, and a torn copy can
-    never land under the final name.  An existing ``target`` (the
-    damaged replica being healed) is renamed aside and removed only
-    after the fresh copy is committed and the directory entry fsynced;
-    every rename boundary is a :func:`crashpoint`, so the crash matrix
-    proves a kill anywhere leaves the segment readable from a peer.
+
+@dataclass(frozen=True)
+class Segment:
+    """One segment the root manifest lists: a shard's base or a delta.
+
+    ``label`` is ``shard-0003`` for a base segment and
+    ``shard-0003/delta-000001`` for a delta; ``token`` is the root
+    manifest's record of its content; ``replicas`` are its replica
+    directories (the segment directory itself at R=1).
     """
-    manifest = verify_segment(source)
-    token = manifest.get("content_token")
-    if expected_token is not None and token != expected_token:
-        raise ShardChecksumError(
-            os.path.basename(source), "content_token", expected_token,
-            str(token),
+
+    label: str
+    shard_dir: str
+    directory: str
+    token: str
+    replicas: tuple[str, ...]
+
+    def replica_name(self, replica: str, within: str = "segment") -> str:
+        """How findings name one of ``replicas``, relative to ``within``.
+
+        ``"segment"``: ``.`` on the flat R=1 layout, else ``rK``;
+        ``"shard"``: that path inside the shard directory (``.``,
+        ``r0``, ``delta-000001``, ``delta-000001/r0``); ``"store"``:
+        the ``label``, then ``/rK`` when replicated.
+        """
+        if within == "shard":
+            return os.path.relpath(replica, self.shard_dir)
+        name = os.path.relpath(replica, self.directory)
+        if within == "segment":
+            return name
+        return os.path.normpath(os.path.join(self.label, name))
+
+    def within(self, shard_dir: str) -> "Segment":
+        """The same segment inside another copy of its shard directory
+        (a quarantine copy, or a staging directory being installed)."""
+
+        def moved(path: str) -> str:
+            return os.path.normpath(os.path.join(
+                shard_dir, os.path.relpath(path, self.shard_dir)))
+
+        return dataclasses.replace(
+            self, shard_dir=shard_dir, directory=moved(self.directory),
+            replicas=tuple(moved(r) for r in self.replicas),
         )
+
+
+def segments(root: str, manifest: dict,
+             shard: int | None = None) -> list[Segment]:
+    """The catalogue: each shard's base segment, then its deltas.
+
+    Lists every shard of the root ``manifest`` in order (or only shard
+    index ``shard``).  Segments are listed whether or not their
+    directories exist — a missing one is damage for the caller to
+    report, quarantine or heal.
+    """
+    replication = max(1, int(manifest.get("replication", 1)))
+    entries = manifest["shards"]
+    listed = []
+    for entry in entries if shard is None else [entries[shard]]:
+        shard_dir = segment_dir(root, entry["name"])
+        parts = [(None, entry["content_token"])] + [
+            (delta["name"], delta["content_token"])
+            for delta in entry.get("deltas") or []
+        ]
+        for delta, token in parts:
+            directory = segment_dir(root, entry["name"], delta)
+            listed.append(Segment(
+                label=os.path.relpath(directory, root),
+                shard_dir=shard_dir,
+                directory=directory,
+                token=token,
+                replicas=tuple(replica_paths(directory, replication)),
+            ))
+    return listed
+
+
+def open_segment_any(segment: Segment, start: int = 0, on_failover=None,
+                     **open_kwargs):
+    """Open whichever replica of a catalogued segment is healthy.
+
+    Tries replicas in rotation starting at ``start`` (the caller's
+    preferred replica), each checked against the catalogue's token; on
+    checksum damage (a drifted token included), format damage, or an
+    OS open failure it calls ``on_failover(replica_index, exc)`` and
+    moves to the next peer.  Raises the last error only when *every*
+    replica is unreadable — the zero-healthy-replica state that
+    quarantine and ``/readyz`` report.
+    """
+    paths = segment.replicas
+    last: Exception | None = None
+    for k in ((start + i) % len(paths) for i in range(len(paths))):
+        try:
+            return k, open_segment(paths[k], token=segment.token,
+                                   **open_kwargs)
+        except (ShardChecksumError, ShardFormatError, OSError) as exc:
+            last = exc
+            if on_failover is not None:
+                on_failover(k, exc)
+    assert last is not None
+    raise last
+
+
+# -- the install ---------------------------------------------------------------
+
+#: Prefix of the sibling directory an install stages into, and of the
+#: one an existing directory is renamed to while its replacement moves
+#: in.  fsck reports both as orphans, never as damage.
+_STAGE_PREFIX = ".stage-"
+_ASIDE_PREFIX = ".old-"
+
+
+def quarantine_slot(quarantine_dir: str, name: str) -> str:
+    """A free path for ``name`` inside ``quarantine_dir``.
+
+    ``name`` itself, else ``name.1``, ``name.2``, ... — quarantined
+    evidence is never overwritten.
+    """
+    os.makedirs(quarantine_dir, exist_ok=True)
+    slot, suffix = os.path.join(quarantine_dir, name), 0
+    while os.path.exists(slot):
+        suffix += 1
+        slot = os.path.join(quarantine_dir, f"{name}.{suffix}")
+    return slot
+
+
+def install_dir(target: str, stage, *, replication: int = 1,
+                token: str | None = None, keep_old_in: str | None = None,
+                durable: bool = False) -> dict:
+    """Atomically replace directory ``target`` with one ``stage`` builds.
+
+    1. ``stage(tmp)`` fills a fresh sibling staging directory;
+    2. the staged segment's first replica is verified (against
+       ``token`` when given) — the one hashing pass, before the
+       install, so a torn or drifted copy never reaches the final name;
+    3. an existing ``target`` is moved aside: into a fresh quarantine
+       slot of ``keep_old_in`` (repair keeps the damaged original as
+       evidence), or to an ``.old-`` sibling removed after the install;
+    4. the staged directory replaces ``target`` and the parent
+       directory is fsynced.
+
+    ``durable`` also fsyncs the staged directory before the install.
+    Every boundary is a :func:`crashpoint`, so the crash matrices prove
+    a kill anywhere leaves either the old or the new directory under
+    ``target``.  Returns the verified segment manifest.
+    """
     parent = os.path.dirname(os.path.abspath(target))
     base = os.path.basename(target)
-    os.makedirs(parent, exist_ok=True)
-    tmp = os.path.join(parent, f"{REPLICA_TMP_PREFIX}{base}")
-    aside = os.path.join(parent, f"{REPLICA_ASIDE_PREFIX}{base}")
+    tmp = os.path.join(parent, _STAGE_PREFIX + base)
+    aside = os.path.join(parent, _ASIDE_PREFIX + base)
     for stale in (tmp, aside):
         if os.path.isdir(stale):
             shutil.rmtree(stale)
     os.makedirs(tmp)
     try:
-        for entry in sorted(os.listdir(source)):
-            if entry.startswith("."):
-                continue  # stray temporaries never propagate
-            src_path = os.path.join(source, entry)
-            if not os.path.isfile(src_path):
-                continue  # nested delta dirs replicate on their own
-            dst_path = os.path.join(tmp, entry)
-            shutil.copyfile(src_path, dst_path)
-            if durable:
-                fd = os.open(dst_path, os.O_RDONLY)
-                try:
-                    os.fsync(fd)
-                finally:
-                    os.close(fd)
-        verify_segment(tmp)
+        stage(tmp)
+        manifest = verify_segment(replica_paths(tmp, replication)[0], token)
         if durable:
             fsync_dir(tmp)
         crashpoint(f"fsync:{base}")
         if os.path.isdir(target):
-            os.replace(target, aside)
+            if keep_old_in is not None:
+                os.rename(target, quarantine_slot(keep_old_in, base))
+                fsync_dir(keep_old_in)
+            else:
+                os.replace(target, aside)
             crashpoint(f"replace:{base}")
         os.replace(tmp, target)
         crashpoint(f"installed:{base}")
@@ -413,6 +641,36 @@ def replicate_segment_dir(source: str, target: str, *,
     return manifest
 
 
+def replicate_segment_dir(source: str, target: str, *,
+                          token: str | None = None,
+                          durable: bool = False) -> dict:
+    """Install a byte-identical copy of replica ``source`` at ``target``.
+
+    The source is verified (against ``token`` when given) before any
+    byte moves, and :func:`install_dir` verifies the staged copy before
+    it replaces ``target`` — a peer replica can never be "repaired"
+    from a silently corrupt source, and a torn copy can never land
+    under the final name.
+    """
+    verify_segment(source, token)
+
+    def copy_files(tmp: str) -> None:
+        for entry in sorted(os.listdir(source)):
+            src_path = os.path.join(source, entry)
+            if entry.startswith(".") or not os.path.isfile(src_path):
+                continue  # stray temporaries and nested delta dirs stay
+            dst_path = os.path.join(tmp, entry)
+            shutil.copyfile(src_path, dst_path)
+            if durable:
+                fd = os.open(dst_path, os.O_RDONLY)
+                try:
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
+
+    return install_dir(target, copy_files, token=token, durable=durable)
+
+
 def write_replicated_segment(store: EventStore, directory: str, index: int,
                              replication: int = 1,
                              durable: bool = False) -> dict:
@@ -420,95 +678,49 @@ def write_replicated_segment(store: EventStore, directory: str, index: int,
 
     Replica 0 is written from the rows (columns, sketch sidecar,
     manifest); peers are byte copies of it, verified against the same
-    ``content_token``.  R=1 degenerates to :func:`write_segment` in the
-    legacy flat layout.  Returns the (shared) segment manifest.
+    ``content_token``.  R=1 is :func:`write_segment` in the legacy flat
+    layout.  Returns the (shared) segment manifest.
     """
-    replication = max(1, int(replication))
-    if replication == 1:
-        return write_segment(store, directory, index, durable=durable)
-    os.makedirs(directory, exist_ok=True)
-    primary = os.path.join(directory, replica_dir_name(0))
+    primary, *peers = replica_paths(directory, replication)
     manifest = write_segment(store, primary, index, durable=durable)
-    for k in range(1, replication):
-        replicate_segment_dir(
-            primary, os.path.join(directory, replica_dir_name(k)),
-            expected_token=manifest.get("content_token"), durable=durable,
-        )
+    for peer in peers:
+        replicate_segment_dir(primary, peer, token=manifest["content_token"],
+                              durable=durable)
     return manifest
-
-
-def open_segment_any(segment_dir: str, replication: int,
-                     start: int = 0, on_failover=None, **open_kwargs):
-    """Open whichever replica of a segment is healthy.
-
-    Tries replicas in rotation starting at ``start`` (the caller's
-    preferred replica); on checksum damage, format damage, or an OS
-    open failure it calls ``on_failover(replica_index, exc)`` and moves
-    to the next peer.  Raises the last error only when *every* replica
-    is unreadable — the zero-healthy-replica state that quarantine and
-    ``/readyz`` report.
-    """
-    paths = replica_paths(segment_dir, replication)
-    order = [(start + i) % len(paths) for i in range(len(paths))]
-    last: Exception | None = None
-    for k in order:
-        try:
-            return k, open_segment(paths[k], **open_kwargs)
-        except (ShardChecksumError, ShardFormatError, OSError) as exc:
-            last = exc
-            if on_failover is not None:
-                on_failover(k, exc)
-    assert last is not None
-    raise last
 
 
 # -- store-level manifest ------------------------------------------------------
 
 
-def write_store_manifest(
-    directory: str,
-    *,
-    partition: str,
-    system_names: list[str],
-    system_sizes: list[int],
-    categories: list[str],
-    sources: list[str],
-    details: list[str],
-    total_patients: int,
-    total_events: int,
-    shard_entries: list[dict],
-    revision: int = 0,
-    replication: int = 1,
-    durable: bool = False,
-) -> dict:
+def write_store_manifest(directory: str, manifest: dict,
+                         durable: bool = False) -> dict:
     """Write the root manifest tying the shards into one logical store.
 
-    ``revision`` is a monotonic counter bumped by every delta append and
-    compaction — worker processes compare it against their cached store
-    to notice that a path's manifest moved under them.  ``replication``
-    records how many replica copies every segment carries (1 = legacy
-    flat layout).  ``durable`` fsyncs the manifest write (the commit
-    point of append/compact).
+    ``manifest`` carries the partition scheme, code-system names and
+    sizes, string tables, ``shards`` entries, ``revision`` (a monotonic
+    counter bumped by every append, compaction and repair — worker
+    processes compare it against their cached store) and
+    ``replication`` (replica copies per segment; 1 = legacy flat
+    layout).  The format version, shard count and the patient/event
+    totals (every entry's counts plus its deltas') are derived here.
+    ``durable`` fsyncs the write (the commit point of append/compact).
     """
-    manifest = {
+    counted = [(e, *(e.get("deltas") or [])) for e in manifest["shards"]]
+    full = {
+        **manifest,
         "format_version": SHARD_FORMAT_VERSION,
         "kind": "sharded_event_store",
-        "partition": partition,
-        "n_shards": len(shard_entries),
-        "revision": int(revision),
-        "replication": max(1, int(replication)),
-        "system_names": list(system_names),
-        "system_sizes": [int(s) for s in system_sizes],
-        "categories": list(categories),
-        "sources": list(sources),
-        "details": list(details),
-        "total_patients": int(total_patients),
-        "total_events": int(total_events),
-        "shards": shard_entries,
+        "n_shards": len(manifest["shards"]),
+        "revision": int(manifest.get("revision", 0)),
+        "replication": max(1, int(manifest.get("replication", 1))),
+        "total_patients": sum(int(s["n_patients"])
+                              for parts in counted for s in parts),
+        "total_events": sum(int(s["n_events"])
+                            for parts in counted for s in parts),
     }
-    _write_json(os.path.join(directory, MANIFEST_NAME), manifest,
+    _write_json(os.path.join(directory, MANIFEST_NAME), full,
                 durable=durable)
-    return manifest
+    return full
 
 
 def read_store_manifest(directory: str) -> dict:

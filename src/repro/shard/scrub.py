@@ -4,20 +4,24 @@ Failover (:mod:`repro.shard.store`) keeps a replicated store *answering
 exactly* while a replica is damaged; this module is what makes the
 damage *go away* without an operator reaching for ``repair --from``:
 
-* :class:`Scrubber` walks every replica of every segment — base and
-  delta — verifying column checksums against the replica's manifest and
-  the manifest's ``content_token`` against the root manifest.  The walk
-  is incremental and rate-limited: a resumable cursor over
-  segments × columns is persisted in a ``scrub.json`` journal at the
-  store root, and each :meth:`Scrubber.tick` verifies at most a byte
-  budget (``ShardConfig.scrub_bytes_per_tick``) before yielding, so
-  scrubbing a terabyte store never monopolises the disk a serving tier
-  is reading from.
+* :class:`Scrubber` walks every replica of every segment of the
+  catalogue (:func:`~repro.shard.format.segments`) — base and delta —
+  with the read path's own verify primitive: the replica's manifest
+  and its ``content_token`` against the root manifest
+  (:func:`~repro.shard.format.check_replica`), then each column file
+  against the manifest's checksum
+  (:func:`~repro.shard.format.check_column`).  The walk is incremental
+  and rate-limited: a resumable cursor over segments × replicas ×
+  columns is persisted in a ``scrub.json`` journal at the store root,
+  and each :meth:`Scrubber.tick` verifies at most a byte budget
+  (``ShardConfig.scrub_bytes_per_tick``) before yielding, so scrubbing
+  a terabyte store never monopolises the disk a serving tier is
+  reading from.
 * When a replica fails verification (flipped byte, truncation, deleted
-  manifest, missing directory), the scrubber runs **anti-entropy
-  repair**: the segment is rebuilt from a token-verified peer replica
-  via :func:`~repro.shard.format.replicate_segment_dir` — the same
-  fsync-and-rename install the write path uses, crash points included.
+  manifest, drifted token, missing directory), the scrubber runs
+  **anti-entropy repair**: the replica is rebuilt from a token-verified
+  peer via :func:`~repro.shard.format.replicate_segment_dir` — the one
+  atomic directory install the write path uses, crash points included.
   A store that was serving degraded-by-capacity (one replica down)
   converges back to fsck-clean with no operator input and no repair
   source.
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config import ShardConfig
 from repro.errors import ShardChecksumError, ShardFormatError, ShardRepairError
@@ -47,13 +51,14 @@ from repro.resilience.faults import crashpoint
 from repro.shard.format import (
     COLUMNS,
     MANIFEST_NAME,
+    Segment,
     _write_json,
-    checksum_file,
+    check_column,
+    check_replica,
     fsync_dir,
     read_store_manifest,
-    replica_paths,
     replicate_segment_dir,
-    verify_segment,
+    segments,
     write_store_manifest,
 )
 from repro.sketch import SKETCH_NAME
@@ -120,16 +125,25 @@ class ScrubTick:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Unit:
     """One scrub work unit: one column of one replica of one segment."""
 
-    segment_dir: str
-    label: str
+    segment: Segment
     replica: int
-    token: str
     column: str  # a COLUMNS name, or "" for the manifest/token check
-    seg_key: str = field(default="")  # groups units of one replica
+
+    @property
+    def directory(self) -> str:
+        """The replica directory; it also groups one replica's units."""
+        return self.segment.replicas[self.replica]
+
+
+def _payload_files(directory: str) -> list[str]:
+    """The segment files (manifest, sketch, columns) in ``directory``."""
+    names = (MANIFEST_NAME, SKETCH_NAME, *(f"{c}.npy" for c in COLUMNS))
+    return [os.path.join(directory, n) for n in names
+            if os.path.isfile(os.path.join(directory, n))]
 
 
 def _read_journal(path: str) -> dict:
@@ -161,112 +175,63 @@ class Scrubber:
 
     def _units(self, manifest: dict) -> list[_Unit]:
         """The deterministic segments × replicas × columns work list."""
-        replication = max(1, int(manifest.get("replication", 1)))
-        units: list[_Unit] = []
-        for entry in manifest["shards"]:
-            name = entry["name"]
-            directory = os.path.join(self.path, name)
-            segments = [(directory, name, entry["content_token"])]
-            for delta in entry.get("deltas") or []:
-                segments.append((
-                    os.path.join(directory, delta["name"]),
-                    f"{name}/{delta['name']}",
-                    delta["content_token"],
-                ))
-            for segment_dir, label, token in segments:
-                for k in range(replication if replication > 1 else 1):
-                    seg_key = f"{label}#r{k}"
-                    units.append(_Unit(segment_dir, label, k, token, "",
-                                       seg_key))
-                    units.extend(
-                        _Unit(segment_dir, label, k, token, column, seg_key)
-                        for column in COLUMNS
-                    )
-        return units
-
-    @staticmethod
-    def _replica_bytes(replica_dir: str) -> int:
-        total = 0
-        for item in (MANIFEST_NAME, SKETCH_NAME,
-                     *(f"{c}.npy" for c in COLUMNS)):
-            try:
-                total += os.path.getsize(os.path.join(replica_dir, item))
-            except OSError:
-                pass
-        return total
+        return [
+            _Unit(segment, k, column)
+            for segment in segments(self.path, manifest)
+            for k in range(len(segment.replicas))
+            for column in ("", *COLUMNS)
+        ]
 
     # -- verification and healing --------------------------------------------
 
-    def _check_unit(self, unit: _Unit, replication: int,
-                    manifests: dict) -> tuple[bool, int, str]:
+    @staticmethod
+    def _check_unit(unit: _Unit, manifests: dict) -> tuple[bool, int, str]:
         """(healthy, bytes_read, reason) for one work unit.
 
-        The ``""`` column unit loads and token-checks the replica's own
-        manifest (cached for the replica's column units); column units
-        re-hash one file against that manifest's recorded checksum.
+        A replica's manifest is read and token-checked once per tick
+        (cached for the replica's column units); column units re-hash
+        one file against that manifest's recorded checksum.
         """
-        replica_dir = replica_paths(unit.segment_dir, replication)[
-            unit.replica]
-        if unit.seg_key not in manifests:
-            manifest_path = os.path.join(replica_dir, MANIFEST_NAME)
-            try:
-                with open(manifest_path, encoding="utf-8") as f:
-                    manifests[unit.seg_key] = json.load(f)
-            except (OSError, json.JSONDecodeError):
-                manifests[unit.seg_key] = None
-        manifest = manifests[unit.seg_key]
-        if unit.column == "":
-            if manifest is None:
-                return False, 0, "replica manifest missing or unreadable"
-            size = 0
-            try:
-                size = os.path.getsize(
-                    os.path.join(replica_dir, MANIFEST_NAME))
-            except OSError:
-                pass
-            if manifest.get("content_token") != unit.token:
-                return (False, size,
-                        "content token drifted from the root manifest")
-            return True, size, ""
-        if manifest is None:
-            # manifest already reported; skip columns without re-reading
-            return False, 0, "replica manifest missing or unreadable"
-        column_path = os.path.join(replica_dir, f"{unit.column}.npy")
-        recorded = (manifest.get("columns") or {}).get(unit.column, {})
+        if unit.directory not in manifests:
+            manifests[unit.directory] = check_replica(
+                unit.directory, unit.segment.token, columns=())
+        manifest, problems = manifests[unit.directory]
+        if problems:
+            return False, 0, problems[0].detail
+        name = f"{unit.column}.npy" if unit.column else MANIFEST_NAME
         try:
-            size = os.path.getsize(column_path)
+            size = os.path.getsize(os.path.join(unit.directory, name))
         except OSError:
-            return False, 0, f"{unit.column}.npy missing"
-        if checksum_file(column_path) != recorded.get("checksum"):
-            return False, size, f"{unit.column}.npy checksum mismatch"
-        return True, size, ""
+            size = 0
+        problem = (check_column(unit.directory, manifest, unit.column)
+                   if unit.column else None)
+        return problem is None, size, problem.detail if problem else ""
 
-    def _heal_replica(self, unit: _Unit, replication: int,
-                      reason: str) -> dict:
+    @staticmethod
+    def _heal_replica(unit: _Unit, reason: str) -> dict:
         """Rebuild one damaged replica from a token-verified peer."""
-        paths = replica_paths(unit.segment_dir, replication)
-        target = paths[unit.replica]
+        segment, target = unit.segment, unit.directory
         record = {
-            "segment": unit.label,
-            "replica": os.path.relpath(target, unit.segment_dir),
+            "segment": segment.label,
+            "replica": segment.replica_name(target),
             "reason": reason,
         }
-        if replication <= 1:
+        if len(segment.replicas) <= 1:
             record["unrepaired"] = (
                 "no peer replica to heal from (replication=1); "
                 "run `repro shard repair` with a --from source"
             )
             return record
         last: Exception | None = None
-        for k, peer in enumerate(paths):
-            if k == unit.replica:
+        for peer in segment.replicas:
+            if peer == target:
                 continue
             try:
-                replicate_segment_dir(peer, target,
-                                      expected_token=unit.token,
+                replicate_segment_dir(peer, target, token=segment.token,
                                       durable=True)
-                record["source"] = os.path.relpath(peer, unit.segment_dir)
-                record["bytes"] = self._replica_bytes(target)
+                record["source"] = segment.replica_name(peer)
+                record["bytes"] = sum(os.path.getsize(path)
+                                      for path in _payload_files(target))
                 return record
             except (ShardChecksumError, ShardFormatError, OSError) as exc:
                 last = exc
@@ -289,7 +254,6 @@ class Scrubber:
         budget = int(budget_bytes if budget_bytes is not None
                      else self.config.scrub_bytes_per_tick)
         manifest = read_store_manifest(self.path)
-        replication = max(1, int(manifest.get("replication", 1)))
         revision = int(manifest.get("revision", 0))
         journal = _read_journal(self.journal_path)
         if int(journal.get("revision", -1)) != revision:
@@ -303,40 +267,37 @@ class Scrubber:
         checked = 0
         repaired: list[dict] = []
         unrepaired: list[dict] = []
-        skip_keys: set[str] = set()
-        missing_dirs: set[str] = set()
-        manifests: dict[str, dict | None] = {}
+        skip: set[str] = set()
+        missing: set[str] = set()
+        manifests: dict[str, tuple] = {}
         while cursor < len(units) and (spent < budget or checked == 0):
             unit = units[cursor]
             cursor += 1
-            if unit.seg_key in skip_keys:
+            if unit.directory in skip or unit.segment.label in missing:
                 continue
-            if not os.path.isdir(unit.segment_dir):
+            if not os.path.isdir(unit.segment.directory):
                 # the whole segment (all replicas) is gone — quarantined
                 # or deleted; only repair_store's salvage can restore it
-                if unit.segment_dir not in missing_dirs:
-                    missing_dirs.add(unit.segment_dir)
-                    unrepaired.append({
-                        "segment": unit.label,
-                        "reason": "segment directory is gone "
-                                  "(quarantined or deleted)",
-                    })
-                skip_keys.update(f"{unit.label}#r{k}"
-                                 for k in range(replication))
+                missing.add(unit.segment.label)
+                unrepaired.append({
+                    "segment": unit.segment.label,
+                    "reason": "segment directory is gone "
+                              "(quarantined or deleted)",
+                })
                 continue
             checked += 1
-            healthy, size, reason = self._check_unit(unit, replication,
-                                                     manifests)
+            healthy, size, reason = self._check_unit(unit, manifests)
             spent += size
             if healthy:
                 continue
             # heal the whole replica, then skip its remaining units —
             # they were just rewritten from the peer
-            record = self._heal_replica(unit, replication, reason)
-            skip_keys.add(unit.seg_key)
+            record = self._heal_replica(unit, reason)
+            skip.add(unit.directory)
             if "unrepaired" in record:
                 unrepaired.append({
-                    "segment": f"{record['segment']}/{record['replica']}",
+                    "segment": unit.segment.replica_name(unit.directory,
+                                                         "store"),
                     "reason": f"{record['reason']}; {record['unrepaired']}",
                 })
             else:
@@ -441,51 +402,28 @@ def scrub_stats(path: str) -> dict:
 # -- online re-replication -----------------------------------------------------
 
 
-def _flat_files(segment_dir: str) -> list[str]:
-    """The legacy flat-layout payload files present in a segment dir."""
-    names = (MANIFEST_NAME, SKETCH_NAME, *(f"{c}.npy" for c in COLUMNS))
-    return [os.path.join(segment_dir, n) for n in names
-            if os.path.isfile(os.path.join(segment_dir, n))]
-
-
-def _materialize_replicas(segment_dir: str, token: str,
-                          old_replication: int, new_replication: int) -> None:
-    """Bring one segment to ``new_replication`` healthy replica dirs.
+def _materialize_replicas(before: Segment, after: Segment) -> None:
+    """Bring one segment from its ``before`` replicas to ``after``'s.
 
     Idempotent: replicas that already exist and token-verify are kept;
     anything else is (re)built from the first healthy source — the flat
     layout on an R=1 store, or any verified peer replica.
     """
-    sources = [d for d in replica_paths(segment_dir, old_replication)
-               if os.path.isdir(d)]
-    source = None
-    for candidate in sources:
-        try:
-            manifest = verify_segment(candidate)
-        except (ShardChecksumError, ShardFormatError, OSError):
-            continue
-        if manifest.get("content_token") == token:
-            source = candidate
-            break
+    source = next((d for d in before.replicas
+                   if not check_replica(d, before.token)[1]), None)
     if source is None:
         raise ShardRepairError(
-            os.path.basename(segment_dir),
+            before.label,
             "no healthy copy to replicate from; run `repro shard repair` "
             "first",
         )
-    for target in replica_paths(segment_dir, new_replication):
-        if os.path.isdir(target):
-            try:
-                if verify_segment(target).get("content_token") == token:
-                    continue
-            except (ShardChecksumError, ShardFormatError, OSError):
-                pass
-        replicate_segment_dir(source, target, expected_token=token,
-                              durable=True)
+    for target in after.replicas:
+        if check_replica(target, after.token)[1]:
+            replicate_segment_dir(source, target, token=after.token,
+                                  durable=True)
 
 
-def replicate_store(path: str, replication: int,
-                    config: ShardConfig | None = None) -> dict:
+def replicate_store(path: str, replication: int) -> dict:
     """Raise the replication factor of an existing store, in place.
 
     Every segment (base and delta) gains token-verified replica
@@ -499,7 +437,6 @@ def replicate_store(path: str, replication: int,
     the committed manifest).  Content tokens never change — replicas
     are byte-identical — so downstream caches stay valid.
     """
-    del config  # reserved: replication rate limits, future knobs
     replication = int(replication)
     manifest = read_store_manifest(path)
     current = max(1, int(manifest.get("replication", 1)))
@@ -510,44 +447,20 @@ def replicate_store(path: str, replication: int,
         )
     if replication == current:
         return manifest
-    for entry in manifest["shards"]:
-        directory = os.path.join(path, entry["name"])
-        _materialize_replicas(directory, entry["content_token"],
-                              current, replication)
-        for delta in entry.get("deltas") or []:
-            _materialize_replicas(
-                os.path.join(directory, delta["name"]),
-                delta["content_token"], current, replication,
-            )
+    old = segments(path, manifest)
+    raised = {**manifest, "replication": replication,
+              "revision": int(manifest.get("revision", 0)) + 1}
+    for before, after in zip(old, segments(path, raised)):
+        _materialize_replicas(before, after)
     crashpoint("fsync:replicate-commit")
-    new_manifest = write_store_manifest(
-        path,
-        partition=manifest["partition"],
-        system_names=manifest["system_names"],
-        system_sizes=manifest["system_sizes"],
-        categories=manifest["categories"],
-        sources=manifest["sources"],
-        details=manifest["details"],
-        total_patients=manifest["total_patients"],
-        total_events=manifest["total_events"],
-        shard_entries=manifest["shards"],
-        revision=int(manifest.get("revision", 0)) + 1,
-        replication=replication,
-        durable=True,
-    )
+    new_manifest = write_store_manifest(path, raised, durable=True)
     crashpoint("installed:replicate-commit")
     if current == 1:
         # the flat copies are unreachable once the manifest points at
         # rK dirs; removing them reclaims the space (crash mid-removal
         # leaves only dead files, which stay invisible to fsck)
-        for entry in manifest["shards"]:
-            directory = os.path.join(path, entry["name"])
-            targets = [directory] + [
-                os.path.join(directory, delta["name"])
-                for delta in entry.get("deltas") or []
-            ]
-            for segment_dir in targets:
-                for stale in _flat_files(segment_dir):
-                    os.remove(stale)
-                fsync_dir(segment_dir)
+        for segment in old:
+            for stale in _payload_files(segment.directory):
+                os.remove(stale)
+            fsync_dir(segment.directory)
     return new_manifest

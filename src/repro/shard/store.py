@@ -43,10 +43,13 @@ from repro.events.store import EventStore, default_systems
 from repro.io import append_jsonl, read_jsonl, rotate_jsonl
 from repro.shard.delta import pending_delta_stats, resolve_segments
 from repro.shard.format import (
+    Segment,
     fsync_dir,
     open_segment_any,
+    quarantine_slot,
     read_store_manifest,
-    replica_paths,
+    segment_dir,
+    segments,
     verify_segment,
 )
 from repro.shard.writer import hash_shard_of
@@ -292,7 +295,8 @@ class ShardedEventStore:
 
         The price of ``on_damage="quarantine"`` is one O(bytes) checksum
         pass over every shard at open — the guarantee bought is that a
-        flipped byte in one segment degrades the store instead of making
+        flipped byte (or a content token that drifted from the root
+        manifest's) in one segment degrades the store instead of making
         it unopenable.  With replication a shard is healthy as long as
         *one* replica of every segment verifies (damaged peers are
         noted for the scrubber); quarantine is reserved for the
@@ -307,8 +311,7 @@ class ShardedEventStore:
         }
         for index, entry in enumerate(self.shard_entries):
             name = entry["name"]
-            directory = os.path.join(self.path, name)
-            if not os.path.isdir(directory):
+            if not os.path.isdir(self.shard_dir(index)):
                 if os.path.isdir(os.path.join(self.quarantine_dir, name)):
                     record = known.get(name) or self._damage_record(
                         index, "ShardFormatError", "previously quarantined"
@@ -321,34 +324,30 @@ class ShardedEventStore:
                     )
                 continue
             try:
-                self._verify_any_replica(directory, name)
-                for delta in entry.get("deltas") or []:
-                    self._verify_any_replica(
-                        os.path.join(directory, delta["name"]),
-                        f"{name}/{delta['name']}",
-                    )
+                for segment in self._segments(index):
+                    self._verify_any_replica(segment)
             except (ShardChecksumError, ShardFormatError) as exc:
                 self.quarantine_shard(index, type(exc).__name__, str(exc))
 
-    def _verify_any_replica(self, segment_dir: str, label: str) -> None:
+    def _verify_any_replica(self, segment: Segment) -> None:
         """Verify a segment, requiring at least one healthy replica.
 
-        Every replica is hashed (the damage map feeds the scrubber and
-        ``/stats``); only the zero-healthy case raises.
+        Every replica is checked against the root manifest's token (the
+        damage map feeds the scrubber and ``/stats``); only the
+        zero-healthy case raises.
         """
         healthy = 0
         last: Exception | None = None
-        for k, replica in enumerate(
-            replica_paths(segment_dir, self.replication)
-        ):
+        for k, replica in enumerate(segment.replicas):
             try:
-                verify_segment(replica)
+                verify_segment(replica, segment.token)
                 healthy += 1
-                self._replica_bad.get(label, set()).discard(k)
+                self._replica_bad.get(segment.label, set()).discard(k)
             except (ShardChecksumError, ShardFormatError) as exc:
                 last = exc
                 if self.replication > 1:
-                    self._replica_bad.setdefault(label, set()).add(k)
+                    self._replica_bad.setdefault(segment.label,
+                                                 set()).add(k)
         if not healthy and last is not None:
             raise last
 
@@ -379,15 +378,10 @@ class ShardedEventStore:
             return self._quarantined[index]
         record = self._damage_record(index, kind, reason)
         os.makedirs(self.quarantine_dir, exist_ok=True)
-        src = os.path.join(self.path, record["name"])
+        src = self.shard_dir(index)
         if os.path.isdir(src):
-            dst = os.path.join(self.quarantine_dir, record["name"])
-            suffix = 0
-            while os.path.exists(dst):
-                suffix += 1
-                dst = os.path.join(self.quarantine_dir,
-                                   f"{record['name']}.{suffix}")
-            os.rename(src, dst)
+            os.rename(src, quarantine_slot(self.quarantine_dir,
+                                           record["name"]))
             # The rename must survive a power cut in *both* directory
             # entries, or the segment could reappear half-quarantined.
             fsync_dir(self.quarantine_dir)
@@ -422,7 +416,11 @@ class ShardedEventStore:
     # -- shard access --------------------------------------------------------
 
     def shard_dir(self, index: int) -> str:
-        return os.path.join(self.path, self.shard_entries[index]["name"])
+        return segment_dir(self.path, self.shard_entries[index]["name"])
+
+    def _segments(self, index: int) -> list[Segment]:
+        """Shard ``index``'s base segment, then its deltas (catalogue)."""
+        return segments(self.path, self.manifest, index)
 
     def shard(self, index: int) -> EventStore:
         """Open (once) and return shard ``index``'s *effective view*.
@@ -443,49 +441,37 @@ class ShardedEventStore:
             raise ShardQuarantinedError(record["name"], record["reason"])
         store = self._shards.get(index)
         if store is None:
-            name = self.shard_entries[index]["name"]
-            store = self._open_replica(self.shard_dir(index), name)
-            deltas = self.shard_entries[index].get("deltas") or []
+            store, *deltas = [self._open_replica(segment)
+                              for segment in self._segments(index)]
             if deltas:
-                delta_stores = [
-                    self._open_replica(
-                        os.path.join(self.shard_dir(index), delta["name"]),
-                        f"{name}/{delta['name']}",
-                    )
-                    for delta in deltas
-                ]
-                store = resolve_segments(store, delta_stores)
+                store = resolve_segments(store, deltas)
                 store._content_token = self.shard_token(index)
             self._shards[index] = store
         return store
 
-    def _open_replica(self, segment_dir: str, label: str) -> EventStore:
+    def _open_replica(self, segment: Segment) -> EventStore:
         """Open whichever replica of one segment is healthy.
 
         Starts at the currently preferred replica and fails over to
-        peers on damage or open failure — counted, remembered (the next
-        open goes straight to the healthy peer), and exact: replicas
-        are byte-identical, so the answer never degrades.  Raises only
-        when zero replicas are readable.
+        peers on damage (a content token that drifted from the root
+        manifest's included) or open failure — counted, remembered (the
+        next open goes straight to the healthy peer), and exact:
+        replicas are byte-identical, so the answer never degrades.
+        Raises only when zero replicas are readable.
         """
 
         def note(replica: int, exc: Exception) -> None:
             self.counters["replica_failovers"] += 1
             if self.replication > 1:
-                self._replica_bad.setdefault(label, set()).add(replica)
+                self._replica_bad.setdefault(segment.label,
+                                             set()).add(replica)
 
         chosen, store = open_segment_any(
-            segment_dir, self.replication,
-            start=self._replica_pref.get(label, 0),
+            segment, start=self._replica_pref.get(segment.label, 0),
             on_failover=note, **self._open_kwargs(),
         )
-        self._replica_pref[label] = chosen
+        self._replica_pref[segment.label] = chosen
         return store
-
-    def replica_dir(self, segment_dir: str, label: str) -> str:
-        """The replica directory reads of this segment currently prefer."""
-        paths = replica_paths(segment_dir, self.replication)
-        return paths[self._replica_pref.get(label, 0) % len(paths)]
 
     def advance_replica(self, index: int) -> bool:
         """Rotate shard ``index``'s reads to the next peer replica.
@@ -496,14 +482,9 @@ class ShardedEventStore:
         """
         if self.replication <= 1:
             return False
-        entry = self.shard_entries[index]
-        labels = [entry["name"]] + [
-            f"{entry['name']}/{delta['name']}"
-            for delta in entry.get("deltas") or []
-        ]
-        for label in labels:
-            self._replica_pref[label] = (
-                self._replica_pref.get(label, 0) + 1
+        for segment in self._segments(index):
+            self._replica_pref[segment.label] = (
+                self._replica_pref.get(segment.label, 0) + 1
             ) % self.replication
         self._shards.pop(index, None)
         self.counters["replica_failovers"] += 1
@@ -532,7 +513,6 @@ class ShardedEventStore:
             "sources": self.sources,
             "details": self.details,
             "verify_checksums": self.config.verify_checksums,
-            "mmap": self.config.mmap,
         }
 
     def iter_shards(self) -> Iterator[EventStore]:
@@ -591,8 +571,7 @@ class ShardedEventStore:
 
     # -- cohort sketches -----------------------------------------------------
 
-    def _segment_sketch(self, segment_dir: str, label: str,
-                        token: str) -> CohortSketch:
+    def _segment_sketch(self, segment: Segment) -> CohortSketch:
         """A segment's sketch: sidecar if trustworthy, else rebuilt.
 
         A missing/stale/corrupt sidecar never degrades correctness —
@@ -601,19 +580,18 @@ class ShardedEventStore:
         is recomputed from the segment's rows (counted in
         ``sketch_rebuilds``; ``sketch build`` persists fresh sidecars).
         """
-        paths = replica_paths(segment_dir, self.replication)
-        start = self._replica_pref.get(label, 0)
+        paths = segment.replicas
+        start = self._replica_pref.get(segment.label, 0)
         for offset in range(len(paths)):
             replica = paths[(start + offset) % len(paths)]
             try:
-                sketch = load_sketch_sidecar(replica, token)
+                sketch = load_sketch_sidecar(replica, segment.token)
                 self.counters["sketch_sidecar_loads"] += 1
                 return sketch
             except SketchError:
                 continue
         self.counters["sketch_rebuilds"] += 1
-        segment = self._open_replica(segment_dir, label)
-        return build_sketch(segment)
+        return build_sketch(self._open_replica(segment))
 
     def shard_sketch(self, index: int) -> CohortSketch:
         """The exact sketch of shard ``index``'s effective view.
@@ -631,30 +609,14 @@ class ShardedEventStore:
         cached = self._shard_sketches.get(index)
         if cached is not None and cached[0] == token:
             return cached[1]
-        entry = self.shard_entries[index]
-        base_dir = self.shard_dir(index)
-        base_sketch = self._segment_sketch(base_dir, entry["name"],
-                                           entry["content_token"])
-        deltas = entry.get("deltas") or []
-        if not deltas:
-            sketch = base_sketch
-        else:
-            base_store = self._open_replica(base_dir, entry["name"])
-            delta_stores = []
-            delta_sketches = []
-            for delta in deltas:
-                delta_dir = os.path.join(base_dir, delta["name"])
-                delta_label = f"{entry['name']}/{delta['name']}"
-                delta_stores.append(
-                    self._open_replica(delta_dir, delta_label)
-                )
-                delta_sketches.append(
-                    self._segment_sketch(delta_dir, delta_label,
-                                         delta["content_token"])
-                )
+        base, *deltas = self._segments(index)
+        sketch = self._segment_sketch(base)
+        if deltas:
             self.counters["sketch_delta_resketches"] += 1
             sketch = effective_sketch(
-                base_store, delta_stores, [base_sketch, *delta_sketches]
+                self._open_replica(base),
+                [self._open_replica(delta) for delta in deltas],
+                [sketch, *(self._segment_sketch(delta) for delta in deltas)],
             )
         self._shard_sketches[index] = (token, sketch)
         return sketch
@@ -684,29 +646,16 @@ class ShardedEventStore:
 
     def sketch_health(self) -> list[dict]:
         """Sidecar status per active segment (``sketch info`` payload)."""
-        health = []
-        for index in self.active_indices():
-            entry = self.shard_entries[index]
-            base_dir = self.shard_dir(index)
-            health.append({
-                "segment": entry["name"],
-                "status": sketch_sidecar_status(
-                    self.replica_dir(base_dir, entry["name"]),
-                    entry["content_token"],
-                ),
-            })
-            for delta in entry.get("deltas") or []:
-                label = f"{entry['name']}/{delta['name']}"
-                health.append({
-                    "segment": label,
-                    "status": sketch_sidecar_status(
-                        self.replica_dir(
-                            os.path.join(base_dir, delta["name"]), label
-                        ),
-                        delta["content_token"],
-                    ),
-                })
-        return health
+        return [
+            {"segment": segment.label,
+             "status": sketch_sidecar_status(
+                 segment.replicas[self._replica_pref.get(segment.label, 0)
+                                  % len(segment.replicas)],
+                 segment.token,
+             )}
+            for index in self.active_indices()
+            for segment in self._segments(index)
+        ]
 
     def rebuild_sketches(self, force: bool = False,
                          durable: bool = True) -> list[dict]:
@@ -718,36 +667,25 @@ class ShardedEventStore:
         """
         rebuilt: list[dict] = []
         for index in self.active_indices():
-            entry = self.shard_entries[index]
-            base_dir = self.shard_dir(index)
-            targets = [(base_dir, entry["name"], entry["content_token"])]
-            for delta in entry.get("deltas") or []:
-                targets.append((
-                    os.path.join(base_dir, delta["name"]),
-                    f"{entry['name']}/{delta['name']}",
-                    delta["content_token"],
-                ))
-            for directory, label, token in targets:
+            for segment in self._segments(index):
                 # Every *existing* replica gets a fresh sidecar (a
                 # damaged replica's columns are the scrubber's job);
                 # the rows are read once from a healthy replica.
                 stale = [
-                    (replica, sketch_sidecar_status(replica, token))
-                    for replica in replica_paths(directory, self.replication)
+                    (replica, sketch_sidecar_status(replica, segment.token))
+                    for replica in segment.replicas
                     if os.path.isdir(replica)
                 ]
                 if not force:
                     stale = [(r, s) for r, s in stale if s != "ok"]
                 if not stale:
                     continue
-                segment = self._open_replica(directory, label)
-                sketch = build_sketch(segment)
+                sketch = build_sketch(self._open_replica(segment))
                 for replica, status in stale:
-                    write_sketch_sidecar(replica, sketch, token,
+                    write_sketch_sidecar(replica, sketch, segment.token,
                                          durable=durable)
                     rebuilt.append({
-                        "segment": label if replica == directory else
-                        f"{label}/{os.path.basename(replica)}",
+                        "segment": segment.replica_name(replica, "store"),
                         "status": status,
                     })
         if rebuilt:

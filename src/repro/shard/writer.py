@@ -26,13 +26,19 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.config import ShardConfig
-from repro.errors import ShardFormatError
+from repro.errors import EventModelError, ShardFormatError
 from repro.events.store import EventStore
 from repro.events.store import merge_stores as _merge_pair
-from repro.shard.format import write_replicated_segment, write_store_manifest
+from repro.shard.format import (
+    segment_dir,
+    segment_entry,
+    write_replicated_segment,
+    write_store_manifest,
+)
 
-__all__ = ["ShardedStoreWriter", "hash_shard_of", "shard_dir_name",
-           "subset_store", "write_sharded_store"]
+__all__ = ["ShardedStoreWriter", "conform_tables", "hash_shard_of",
+           "shard_dir_name", "subset_store", "union_tables",
+           "write_sharded_store"]
 
 _PARTITIONS = ("hash", "range")
 
@@ -102,29 +108,62 @@ def _empty_like(template: EventStore) -> EventStore:
     return subset_store(template, np.empty(0, dtype=np.int64))
 
 
-def _remap_tables(shard: EventStore, categories, sources, details,
-                  cat_map, src_map, det_map) -> EventStore:
-    """Re-encode a shard's interned columns against the union tables."""
+def union_tables(*tables) -> tuple[list[str], list[str], list[str]]:
+    """Unite ``(categories, sources, details)`` triples, first-seen order.
+
+    The union is append-only over the first triple, so integer codes
+    already written against it stay valid.
+    """
+    united: tuple[list[str], list[str], list[str]] = ([], [], [])
+    for triple in tables:
+        for union, own in zip(united, triple):
+            known = set(union)
+            union.extend(v for v in own if v not in known)
+    return united
+
+
+def conform_tables(store: EventStore, tables) -> EventStore:
+    """Re-encode ``store``'s interned columns against ``tables``.
+
+    ``tables`` is a ``(categories, sources, details)`` triple holding
+    every value the store uses (a :func:`union_tables` result); a store
+    already on those tables is returned as is.  Raises
+    :class:`~repro.errors.EventModelError` naming any value the tables
+    lack.
+    """
+    own = (store.categories, store.sources, store.details)
+    if tuple(map(list, own)) == tuple(map(list, tables)):
+        return store
+    maps = []
+    for union, values, kind in zip(tables, own,
+                                   ("category", "source", "detail")):
+        index = {v: i for i, v in enumerate(union)}
+        unknown = [v for v in values if v not in index]
+        if unknown:
+            raise EventModelError(
+                f"{kind} values {unknown} are not in the target tables")
+        maps.append(np.asarray([index[v] for v in values], dtype=np.int64))
+    categories, sources, details = tables
     return EventStore(
-        systems=shard.systems,
-        system_names=shard.system_names,
-        categories=categories,
-        sources=sources,
-        details=details,
-        patient=shard.patient,
-        day=shard.day,
-        end=shard.end,
-        is_point=shard.is_point,
-        category=cat_map[shard.category].astype(np.int16),
-        system=shard.system,
-        code=shard.code,
-        value=shard.value,
-        value2=shard.value2,
-        source=src_map[shard.source].astype(np.int16),
-        detail=det_map[shard.detail].astype(np.int32),
-        patient_ids=shard.patient_ids,
-        birth_days=shard.birth_days,
-        sexes=shard.sexes,
+        systems=store.systems,
+        system_names=store.system_names,
+        categories=list(categories),
+        sources=list(sources),
+        details=list(details),
+        patient=store.patient,
+        day=store.day,
+        end=store.end,
+        is_point=store.is_point,
+        category=maps[0][store.category].astype(np.int16),
+        system=store.system,
+        code=store.code,
+        value=store.value,
+        value2=store.value2,
+        source=maps[1][store.source].astype(np.int16),
+        detail=maps[2][store.detail].astype(np.int32),
+        patient_ids=store.patient_ids,
+        birth_days=store.birth_days,
+        sexes=store.sexes,
     )
 
 
@@ -146,16 +185,14 @@ class ShardedStoreWriter:
     def __init__(
         self,
         out_dir: str,
-        n_shards: int | None = None,
-        partition: str | None = None,
+        n_shards: int = 4,
+        partition: str = "hash",
         config: ShardConfig | None = None,
     ) -> None:
-        self.config = config or ShardConfig()
         self.out_dir = out_dir
-        self.n_shards = int(n_shards if n_shards is not None
-                            else self.config.default_shards)
-        self.partition = partition or self.config.partition
-        self.replication = max(1, int(self.config.replication))
+        self.n_shards = int(n_shards)
+        self.partition = partition
+        self.replication = max(1, int((config or ShardConfig()).replication))
         if self.n_shards < 1:
             raise ShardFormatError(
                 out_dir, f"n_shards must be >= 1, got {self.n_shards}"
@@ -212,65 +249,33 @@ class ShardedStoreWriter:
             raise ShardFormatError(self.out_dir, "no stores were added")
         shards = [s for s in self._pending if s is not None]
         template = shards[0]
-        categories, sources, details = (
-            list(template.categories), list(template.sources),
-            list(template.details),
-        )
-        for shard in shards[1:]:
-            for union, own in ((categories, shard.categories),
-                               (sources, shard.sources),
-                               (details, shard.details)):
-                known = set(union)
-                union.extend(v for v in own if v not in known)
-
-        def mapping(union: list[str], own: list[str]) -> np.ndarray:
-            index = {v: i for i, v in enumerate(union)}
-            return np.asarray([index[v] for v in own], dtype=np.int64)
-
+        tables = union_tables(*((s.categories, s.sources, s.details)
+                                for s in shards))
         os.makedirs(self.out_dir, exist_ok=True)
         entries: list[dict] = []
-        total_patients = total_events = 0
         for index in range(self.n_shards):
             shard = self._pending[index]
             if shard is None:
                 shard = _empty_like(template)
-            if (shard.categories != categories or shard.sources != sources
-                    or shard.details != details):
-                shard = _remap_tables(
-                    shard, categories, sources, details,
-                    mapping(categories, shard.categories),
-                    mapping(sources, shard.sources),
-                    mapping(details, shard.details),
-                )
             name = shard_dir_name(index)
             manifest = write_replicated_segment(
-                shard, os.path.join(self.out_dir, name), index,
+                conform_tables(shard, tables),
+                segment_dir(self.out_dir, name), index,
                 replication=self.replication,
             )
-            entries.append({
-                "name": name,
-                "n_patients": manifest["n_patients"],
-                "n_events": manifest["n_events"],
-                "patient_min": manifest["patient_min"],
-                "patient_max": manifest["patient_max"],
-                "content_token": manifest["content_token"],
-            })
-            total_patients += manifest["n_patients"]
-            total_events += manifest["n_events"]
-        return write_store_manifest(
-            self.out_dir,
-            partition=self.partition,
-            system_names=list(template.system_names),
-            system_sizes=[len(template.systems[n])
-                          for n in template.system_names],
-            categories=categories,
-            sources=sources,
-            details=details,
-            total_patients=total_patients,
-            total_events=total_events,
-            shard_entries=entries,
-            replication=self.replication,
-        )
+            entries.append(segment_entry(name, manifest))
+        categories, sources, details = tables
+        return write_store_manifest(self.out_dir, {
+            "partition": self.partition,
+            "system_names": list(template.system_names),
+            "system_sizes": [len(template.systems[n])
+                             for n in template.system_names],
+            "categories": categories,
+            "sources": sources,
+            "details": details,
+            "shards": entries,
+            "replication": self.replication,
+        })
 
     def write(self, store: EventStore) -> dict:
         """One-shot: partition a single store and write everything."""
@@ -280,8 +285,8 @@ class ShardedStoreWriter:
 def write_sharded_store(
     store_or_stores: EventStore | Iterable[EventStore],
     out_dir: str,
-    n_shards: int | None = None,
-    partition: str | None = None,
+    n_shards: int = 4,
+    partition: str = "hash",
     config: ShardConfig | None = None,
 ) -> dict:
     """Write a sharded store from one store or a stream of batch stores.

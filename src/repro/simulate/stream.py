@@ -86,7 +86,7 @@ def stream_population(
 def generate_streamed_store(
     n_patients: int,
     out_dir: str,
-    n_shards: int | None = None,
+    n_shards: int = 4,
     batch_size: int = DEFAULT_BATCH_SIZE,
     seed: int | None = None,
     compact_every: int | None = 8,

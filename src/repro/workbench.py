@@ -161,7 +161,7 @@ class Workbench:
             )
         from repro.shard import DeltaWriter  # noqa: PLC0415 (cycle)
 
-        DeltaWriter(self.store.path, config=self.store.config).append(batch)
+        DeltaWriter(self.store.path).append(batch)
         self.store.refresh()
         return self.store.delta_stats()
 
@@ -179,8 +179,7 @@ class Workbench:
             raise EventModelError("compact needs a sharded store")
         from repro.shard import Compactor  # noqa: PLC0415 (cycle)
 
-        report = Compactor(self.store.path, config=self.store.config) \
-            .compact()
+        report = Compactor(self.store.path).compact()
         self.store.refresh()
         return report.to_json()
 

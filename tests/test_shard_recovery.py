@@ -9,9 +9,10 @@ again spending one rebuild per probe, go permanently serial only when
 ``max_pool_rebuilds`` is exhausted; retry transient shard failures with
 seeded backoff, skip retries on definite damage, quarantine at query
 time only when the policy allows and the evidence (definite damage or an
-open breaker) demands it.  Two pool-path edges run real workers: a typed
+open breaker) demands it.  Pool-path edges run real workers: a typed
 shard error raised in a worker must not break the pool, and a scatter
-that ends early must cancel its queued per-shard tasks.
+whose request deadline expired must neither start its queued per-shard
+tasks nor count the overrun as a shard failure.
 """
 
 from __future__ import annotations
@@ -40,18 +41,45 @@ from repro.simulate.fast import generate_store_fast
 
 N_SHARDS = 4
 
-#: File the slowed per-shard task appends one byte to per call; set
-#: before the pool forks, so every worker inherits it.
+#: File the slowed per-shard task appends each call's start time to
+#: (``time.monotonic()``, one per line); set before the pool forks, so
+#: every worker inherits it.
 _CALL_LOG = ""
 _REAL_SHARD_PATIENTS = executor_module._shard_patients
 
 
 def _slow_shard_patients(sharded, index, expr, cache):
-    """The ids task, slowed to 0.25 s and counted (pickles by name)."""
-    with open(_CALL_LOG, "ab") as log:
-        log.write(b".")
+    """The ids task, slowed to 0.25 s and logged (pickles by name)."""
+    with open(_CALL_LOG, "a", encoding="utf-8") as log:
+        log.write(f"{time.monotonic()!r}\n")
     time.sleep(0.25)
     return _REAL_SHARD_PATIENTS(sharded, index, expr, cache)
+
+
+def _expired_scatter(path, log, monkeypatch) -> tuple[ParallelExecutor,
+                                                      float]:
+    """One slowed 2-worker scatter that overruns ``Deadline(0.3)``.
+
+    Waits for the pool to drain every task it still held, and returns
+    the executor plus the request's absolute ``time.monotonic()``
+    expiry.
+    """
+    sharded = ShardedEventStore(path)
+    log.write_text("")
+    # Installed before the pool forks, so the workers run it too.
+    monkeypatch.setattr(executor_module, "_shard_patients",
+                        _slow_shard_patients)
+    monkeypatch.setattr(f"{__name__}._CALL_LOG", str(log))
+    with ParallelExecutor(config=ShardConfig(n_workers=2)) as executor:
+        deadline = Deadline(0.3)
+        expiry = time.monotonic() + deadline.remaining()
+        with pytest.raises(DeadlineExceededError):
+            executor.patients(sharded, parse_query("sex F"),
+                              deadline=deadline)
+        # Let every task still queued leave the pool: only the ones
+        # that started before the expiry may have run.
+        executor._pool.shutdown(wait=True)
+    return executor, expiry
 
 
 @pytest.fixture(scope="module")
@@ -329,18 +357,25 @@ class TestPoolPathEdges:
             self, flat_store, tmp_path, monkeypatch):
         path = str(tmp_path / "slow.shards")
         write_sharded_store(flat_store, path, n_shards=8)
-        sharded = ShardedEventStore(path)
         log = tmp_path / "calls"
-        log.write_bytes(b"")
-        # Installed before the pool forks, so the workers run it too.
-        monkeypatch.setattr(executor_module, "_shard_patients",
-                            _slow_shard_patients)
-        monkeypatch.setattr(f"{__name__}._CALL_LOG", str(log))
-        with ParallelExecutor(config=ShardConfig(n_workers=2)) as executor:
-            with pytest.raises(DeadlineExceededError):
-                executor.patients(sharded, parse_query("sex F"),
-                                  deadline=Deadline(0.3))
-            # Let every task still queued run to completion: only the
-            # ones workers had already taken may remain.
-            executor._pool.shutdown(wait=True)
-        assert 0 < len(log.read_bytes()) < 8
+        __, expiry = _expired_scatter(path, log, monkeypatch)
+        starts = [float(line) for line in log.read_text().split()]
+        assert 0 < len(starts) < 8
+        # Tasks that were already in the pool's call queue when the
+        # request gave up skip themselves instead of running late.
+        late = [round(start - expiry, 3) for start in starts
+                if start > expiry + 0.05]
+        assert not late, f"tasks started {late} s after the expiry"
+
+    def test_deadline_expired_scatter_is_no_shard_failure(
+            self, flat_store, tmp_path, monkeypatch):
+        path = str(tmp_path / "slow.shards")
+        write_sharded_store(flat_store, path, n_shards=4,
+                            config=ShardConfig(replication=2))
+        executor, __ = _expired_scatter(path, tmp_path / "calls",
+                                        monkeypatch)
+        assert executor.open_breakers() == {}
+        stats = executor.stats_dict()
+        assert stats["replica_advances"] == 0
+        assert stats["shard_retries"] == 0
+        assert stats["query_time_quarantines"] == 0

@@ -178,6 +178,23 @@ class TestWriter:
         assert ShardedEventStore(path).materialize_store() \
             .content_equal(store)
 
+    def test_streamed_generation_defaults_to_four_shards(self, tmp_path):
+        """``generate --stream`` without ``--shards`` builds 4 shards."""
+        from repro.cli import main
+        from repro.simulate.stream import generate_streamed_store
+
+        api = str(tmp_path / "api.shards")
+        report = generate_streamed_store(60, api, batch_size=25, seed=3)
+        assert report.n_shards == 4
+        cli = str(tmp_path / "cli.shards")
+        assert main(["generate", "--stream", "--patients", "60",
+                     "--batch-size", "25", "--seed", "3",
+                     "--out", cli]) == 0
+        for path in (api, cli):
+            sharded = ShardedEventStore(path)
+            assert sharded.n_shards == 4
+            assert sharded.n_patients == 60
+
     def test_range_partition_rejects_streaming(self, store, tmp_path):
         writer = ShardedStoreWriter(str(tmp_path / "r.shards"),
                                     n_shards=2, partition="range")

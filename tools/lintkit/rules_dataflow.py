@@ -158,7 +158,7 @@ _KNOWN_INSTALLERS = {
     "atomic_replace", "_write_json",
     "write_segment", "write_replicated_segment",
     "write_store_manifest", "write_sketch_sidecar",
-    "replicate_segment_dir", "_install_segment",
+    "replicate_segment_dir", "install_dir",
     "append_jsonl", "rotate_jsonl",
 }
 
