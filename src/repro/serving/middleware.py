@@ -247,7 +247,9 @@ class ServingApp:
             or not response.content_type.startswith(_COMPRESSIBLE)
         ):
             return response
-        compressed = gzip.compress(body, compresslevel=6)
+        # mtime=0: the header carries no clock, so repeated requests under
+        # one strong ETag get the same gzip bytes.
+        compressed = gzip.compress(body, compresslevel=6, mtime=0)
         if len(compressed) >= len(body):
             return response
         self.counters["gzipped"] += 1

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import EventModelError, ShardFormatError
-from repro.events.store import EventStore, default_systems
+from repro.events.store import EVENT_COLUMNS, EventStore, default_systems
 from repro.shard.format import (
     install_dir,
     open_segment_any,
@@ -85,9 +85,6 @@ DELTA_PREFIX = "delta-"
 #: process mid-query) keep resolving against them.
 KEEP_GENERATIONS = 1
 
-#: The event-row columns of one segment, in store order.
-_EVENT_COLUMNS = ("patient", "day", "end", "is_point", "category", "system",
-                  "code", "value", "value2", "source", "detail")
 #: Identity columns: two rows with equal values here are *the same
 #: event* restated; value/value2/detail are the payload that
 #: last-write-wins replaces.
@@ -149,7 +146,7 @@ def resolve_segments(base: EventStore,
     # the resolve O(contested + delta) instead of O(shard) — the whole
     # point of landing a small nightly batch as a delta.
     base_cols = {
-        name: np.asarray(getattr(base, name)) for name in _EVENT_COLUMNS
+        name: np.asarray(getattr(base, name)) for name in EVENT_COLUMNS
     }
     touched = np.unique(np.concatenate(
         [np.asarray(s.patient) for s in deltas]
@@ -163,7 +160,7 @@ def resolve_segments(base: EventStore,
             [base_cols[name][contested]]
             + [np.asarray(getattr(s, name)) for s in deltas]
         )
-        for name in _EVENT_COLUMNS
+        for name in EVENT_COLUMNS
     }
     batch = np.concatenate(
         [np.zeros(int(contested.sum()), dtype=np.int64)]
@@ -189,7 +186,7 @@ def resolve_segments(base: EventStore,
         group_id = np.cumsum(new_group) - 1
         last_of_group = np.nonzero(np.append(new_group[1:], True))[0]
         keep = b == b[last_of_group][group_id]
-        kept = {name: cols[name][order][keep] for name in _EVENT_COLUMNS}
+        kept = {name: cols[name][order][keep] for name in EVENT_COLUMNS}
         final = np.lexsort((kept["day"], kept["patient"]))
         kept = {name: array[final] for name, array in kept.items()}
     else:
@@ -199,7 +196,7 @@ def resolve_segments(base: EventStore,
     # single-key sort on patient restores the store invariant.
     kept = {
         name: np.concatenate([base_cols[name][~contested], kept[name]])
-        for name in _EVENT_COLUMNS
+        for name in EVENT_COLUMNS
     }
     splice = np.argsort(kept["patient"], kind="stable")
     kept = {name: array[splice] for name, array in kept.items()}

@@ -14,8 +14,10 @@ patient-id results.  Each shard carries its own memoized
 ``content_token``, so the existing :class:`repro.query.cache.QueryCache`
 LRU memoizes per-shard sub-results unchanged — at shard granularity.
 
+Per-patient reads route to the owning shard: :meth:`materialize` and
+:meth:`patient_rows` (the timeline's row slices) never merge anything.
 For everything that genuinely needs the whole cohort in one coordinate
-system (timeline rendering, cohort statistics, CSV export), attribute
+system (cohort statistics, the density overview, CSV export), attribute
 access falls through to a lazily materialized merged ``EventStore``
 (globally re-sorted by ``(patient, day)``), so a ``ShardedEventStore``
 exposes the same mask/patient-array surface as a flat store; queries
@@ -39,7 +41,7 @@ from repro.errors import (
     ShardQuarantinedError,
     SketchError,
 )
-from repro.events.store import EventStore, default_systems
+from repro.events.store import EVENT_COLUMNS, EventStore, default_systems
 from repro.io import append_jsonl, read_jsonl, rotate_jsonl
 from repro.shard.delta import pending_delta_stats, resolve_segments
 from repro.shard.format import (
@@ -763,6 +765,24 @@ class ShardedEventStore:
         """Build one patient's :class:`History` from their shard alone."""
         return self.shard(self.owner_of(patient_id)).materialize(patient_id)
 
+    def patient_rows(self, patient_ids: Iterable[int]) -> EventStore:
+        """The given patients' rows, read from their owning shards alone.
+
+        Groups the ids by :meth:`owner_of` and takes each group as one
+        :meth:`EventStore.patient_rows` slice of its shard's effective
+        view (delta-pending and replicated shards included), so the cost
+        is O(rows returned) and the store is never merged.
+        """
+        groups: dict[int, list[int]] = {}
+        wanted = np.unique(np.fromiter(patient_ids, dtype=np.int64))
+        for pid in wanted.tolist():
+            groups.setdefault(self.owner_of(pid), []).append(pid)
+        parts = [self.shard(index).patient_rows(pids)
+                 for index, pids in sorted(groups.items())]
+        return self._concat(
+            parts or [self.shard(self.active_indices()[0]).patient_rows([])]
+        )
+
     def to_cohort(self, patient_ids: Iterable[int] | None = None):
         from repro.events.model import Cohort  # noqa: PLC0415 (cheap)
 
@@ -793,34 +813,30 @@ class ShardedEventStore:
         """
         if self._materialized is None:
             self.counters["row_materializations"] += 1
-            shards = list(self.iter_shards())
-            columns = {
-                name: np.concatenate(
-                    [np.asarray(getattr(s, name)) for s in shards]
-                )
-                for name in (
-                    "patient", "day", "end", "is_point", "category",
-                    "system", "code", "value", "value2", "source", "detail",
-                    "patient_ids", "birth_days", "sexes",
-                )
-            }
-            order = np.lexsort((columns["day"], columns["patient"]))
-            for name in ("patient", "day", "end", "is_point", "category",
-                         "system", "code", "value", "value2", "source",
-                         "detail"):
-                columns[name] = columns[name][order]
-            pid_order = np.argsort(columns["patient_ids"], kind="stable")
-            for name in ("patient_ids", "birth_days", "sexes"):
-                columns[name] = columns[name][pid_order]
-            self._materialized = EventStore(
-                systems=self.systems,
-                system_names=self.system_names,
-                categories=self.categories,
-                sources=self.sources,
-                details=self.details,
-                **columns,
-            )
+            self._materialized = self._concat(list(self.iter_shards()))
         return self._materialized
+
+    def _concat(self, parts: list[EventStore]) -> EventStore:
+        """One store from patient-disjoint shard stores, re-sorted by
+        ``(patient, day)``; each patient's rows keep their shard order."""
+        columns = {
+            name: np.concatenate([np.asarray(getattr(s, name)) for s in parts])
+            for name in (*EVENT_COLUMNS, "patient_ids", "birth_days", "sexes")
+        }
+        order = np.lexsort((columns["day"], columns["patient"]))
+        for name in EVENT_COLUMNS:
+            columns[name] = columns[name][order]
+        pid_order = np.argsort(columns["patient_ids"], kind="stable")
+        for name in ("patient_ids", "birth_days", "sexes"):
+            columns[name] = columns[name][pid_order]
+        return EventStore(
+            systems=self.systems,
+            system_names=self.system_names,
+            categories=self.categories,
+            sources=self.sources,
+            details=self.details,
+            **columns,
+        )
 
     def __getattr__(self, name: str):
         # Anything not implemented shard-wise (column arrays, mask

@@ -130,9 +130,10 @@ class Workbench:
         """Serve a cohort straight from a sharded on-disk store.
 
         Queries run scatter-gather across the shard segments (see
-        :mod:`repro.shard`); rendering and statistics materialize
-        lazily.  ``shard_config`` tunes worker count, checksum
-        verification and memory mapping.
+        :mod:`repro.shard`); the timeline reads each drawn patient's
+        rows from their shard, while statistics and the density
+        overview materialize lazily.  ``shard_config`` tunes worker
+        count, checksum verification and memory mapping.
         """
         from repro.shard import (  # noqa: PLC0415 (cycle via query.engine)
             ShardedEventStore,

@@ -177,3 +177,15 @@ class TestQueries:
     def test_to_cohort_subset(self, store):
         cohort = store.to_cohort([2])
         assert cohort.patient_ids == [2]
+
+    def test_patient_rows_are_the_patients_slices(self, store):
+        rows = store.patient_rows([2, 2])
+        mask = store.mask_patients([2])
+        assert rows.patient_ids.tolist() == [2]
+        assert rows.birth_day_of(2) == -3000 and rows.sex_of(2) == "M"
+        for name in ("patient", "day", "end", "category", "code", "detail"):
+            assert getattr(rows, name).tolist() == \
+                getattr(store, name)[mask].tolist()
+        assert rows.categories is store.categories
+        with pytest.raises(EventModelError):
+            store.patient_rows([2, 42])

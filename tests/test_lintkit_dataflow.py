@@ -115,6 +115,31 @@ def test_lk201_replace_without_dirsync_flagged_in_shard_tier(tmp_path):
     assert [v.line for v in violations] == [3]
 
 
+def test_lk201_method_on_local_object_is_not_an_install(tmp_path):
+    # ``Writer.write`` is a proven installer, but ``f.write`` on a file
+    # object is not a call to it: a callee guessed from a bare method
+    # name must not excuse the in-place write under the shard root.
+    violations = _lint_fixture(tmp_path, {
+        "src/repro/shard/lx.py": (
+            "import os\n"
+            "def fsync_dir(path):\n"
+            "    fd = os.open(path, os.O_RDONLY)\n"
+            "    os.fsync(fd)\n"
+            "    os.close(fd)\n"
+            "class Writer:\n"
+            "    def write(self, path, data):\n"
+            "        with open(path + '.tmp', 'wb') as f:\n"
+            "            f.write(data)\n"
+            "        os.replace(path + '.tmp', path)\n"
+            "        fsync_dir(os.path.dirname(path))\n"
+            "def stash(path, data):\n"
+            "    with open(path, 'wb') as f:\n"
+            "        f.write(data)\n"
+        ),
+    }, select={"LK201"})
+    assert [(v.rule, v.line) for v in violations] == [("LK201", 13)]
+
+
 # -- LK202: crashpoint coverage ----------------------------------------------
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import time
 from email.message import Message
 
 import pytest
@@ -417,6 +418,21 @@ class TestServingApp:
         assert len(zipped.body) < len(plain.body)
         assert gzip.decompress(zipped.body) == plain.body
         assert app.counters["gzipped"] == 1
+
+    def test_gzip_bodies_do_not_depend_on_the_clock(self, wb, monkeypatch):
+        # One strong ETag must always name the same bytes: a gzip header
+        # stamped with the time would change them every second.
+        app = ServingApp(wb, ServingConfig())
+        bodies = []
+        for now in (1_700_000_000.0, 1_700_000_123.0):
+            monkeypatch.setattr(time, "time", lambda now=now: now)
+            response = app.handle(
+                _req("/timeline.svg?q=concept%20T90",
+                     headers={"Accept-Encoding": "gzip"})
+            )
+            assert response.headers["Content-Encoding"] == "gzip"
+            bodies.append(response.body)
+        assert bodies[0] == bodies[1]
 
     def test_small_bodies_not_compressed(self, wb):
         app = ServingApp(wb, ServingConfig(debug_routes=True))

@@ -118,6 +118,19 @@ class TestLazyStore:
         assert len(ours.points) == len(theirs.points)
         assert len(ours.intervals) == len(theirs.intervals)
 
+    def test_patient_rows_match_flat_without_merging(self, store,
+                                                     shard_path):
+        sharded = ShardedEventStore(shard_path)
+        ids = store.patient_ids[::37].tolist()
+        ours, theirs = sharded.patient_rows(ids), store.patient_rows(ids)
+        for name in ("patient", "day", "end", "is_point", "category",
+                     "system", "code", "source", "detail", "patient_ids",
+                     "birth_days", "sexes"):
+            assert np.array_equal(getattr(ours, name), getattr(theirs, name))
+        assert sharded.counters["row_materializations"] == 0
+        with pytest.raises(EventModelError):
+            sharded.patient_rows([ids[0], 10**9])
+
     def test_materialize_store_roundtrip(self, store, shard_path):
         sharded = ShardedEventStore(shard_path)
         assert sharded.materialize_store().content_equal(store)

@@ -226,18 +226,11 @@ class Project:
             return [f for f in self.by_name.get(tail, []) if f.cls is not None]
         target = imports.get(head)
         if target and len(parts) == 2:
-            found = self._module_func(target, tail)
-            if found:
-                return found
-            # "from pkg import mod" style: alias maps to pkg.mod
-            found = self._module_func(f"{target}", tail)
-            if found:
-                return found
-        if target is None and len(parts) == 2:
-            # unimported receiver (a local object): fall back to methods
-            methods = [f for f in self.by_name.get(tail, []) if f.cls is not None]
-            if methods:
-                return methods
+            # ``import pkg.mod as m`` and ``from pkg import mod`` both map
+            # the alias to ``pkg.mod``.  A method called on any other
+            # receiver (a local object) stays unresolved: its bare name
+            # says nothing about its class.
+            return self._module_func(target, tail)
         return []
 
     def callers_of(self, qualname: str) -> list[tuple[FunctionInfo, ast.Call]]:
